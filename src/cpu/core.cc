@@ -21,34 +21,39 @@ Core::Core(const CoreConfig& config, ThreadId thread, TraceSource& trace,
     config_.Validate();
 }
 
-void
+bool
 Core::Tick()
 {
-    stats_.cycles += 1;
-    Commit();
-    IssueMemory(std::min<std::size_t>(unissued_.size(), 4));
-    Fetch();
+    stats_.ticks_executed += 1;
+    bool progress = Commit();
+    if (progress) {
+        stats_.cycles += 1;
+    } else {
+        // Nothing committed: the head is as Commit found it, so this is
+        // exactly the charge of one skipped idle cycle.
+        ChargeIdle(stats_, 1);
+    }
+    progress |= IssueMemory();
+    progress |= Fetch();
+    return progress;
 }
 
 void
-Core::TickFrontend()
+Core::ChargeIdle(CoreStats& stats, std::uint64_t cycles) const
 {
-    stats_.cycles += 1;
-    Commit();
-    // Freeze the issue scan to the pre-fetch unissued prefix so the
-    // deferred TickIssue considers exactly the slots the serial schedule
-    // (commit -> issue -> fetch) would have (see the header contract).
-    issue_scan_ = std::min<std::size_t>(unissued_.size(), 4);
-    Fetch();
+    stats.cycles += cycles;
+    if (window_.empty()) {
+        return;
+    }
+    const Slot& head = window_.front();
+    if (head.kind == Slot::Kind::kLoad && !head.done) {
+        stats.load_stall_cycles += cycles;
+    } else if (head.kind == Slot::Kind::kStore && !head.issued) {
+        stats.store_stall_cycles += cycles;
+    }
 }
 
-void
-Core::TickIssue()
-{
-    IssueMemory(issue_scan_);
-}
-
-void
+bool
 Core::Commit()
 {
     std::uint32_t budget = config_.width;
@@ -79,32 +84,25 @@ Core::Commit()
         window_.pop_front();
     }
     stats_.instructions += committed;
-
-    if (committed == 0 && !window_.empty()) {
-        const Slot& head = window_.front();
-        if (head.kind == Slot::Kind::kLoad && !head.done) {
-            stats_.load_stall_cycles += 1;
-        } else if (head.kind == Slot::Kind::kStore && !head.issued) {
-            stats_.store_stall_cycles += 1;
-        }
-    }
+    return committed > 0;
 }
 
-void
-Core::IssueMemory(std::size_t scan_limit)
+bool
+Core::IssueMemory()
 {
     // At most one memory operation issues per cycle (baseline: one of the
     // three pipeline slots may be a memory op).  A dependent access may only
     // issue once it is the oldest unissued access and nothing is in flight.
+    const std::size_t scan_limit = std::min<std::size_t>(unissued_.size(), 4);
     for (std::size_t i = 0; i < scan_limit; ++i) {
         Slot* slot = unissued_[i];
         const bool dependency_ready =
-            !slot->depends_on_prev || (i == 0 && outstanding_loads_ == 0);
+            !slot->depends_on_prev || (i == 0 && in_flight_.empty());
         if (!dependency_ready) {
             continue;
         }
         if (slot->kind == Slot::Kind::kLoad) {
-            if (outstanding_loads_ >= config_.mshrs) {
+            if (in_flight_.size() >= config_.mshrs) {
                 break; // MSHRs full: no further loads may issue.
             }
             const std::optional<RequestId> id =
@@ -113,8 +111,7 @@ Core::IssueMemory(std::size_t scan_limit)
                 break; // Request buffer full; retry next cycle.
             }
             slot->issued = true;
-            slot->request_id = *id;
-            outstanding_loads_ += 1;
+            in_flight_.emplace_back(*id, slot);
             stats_.loads_issued += 1;
         } else {
             if (!port_.TryIssueWrite(thread_, slot->addr)) {
@@ -125,24 +122,30 @@ Core::IssueMemory(std::size_t scan_limit)
             stats_.stores_issued += 1;
         }
         unissued_.erase(unissued_.begin() + static_cast<std::ptrdiff_t>(i));
-        return;
+        return true;
     }
+    return false;
 }
 
-void
+bool
 Core::Fetch()
 {
+    // Fetch changes state iff the window has room and the trace has not
+    // been found exhausted (every path below then appends or pulls; an
+    // exhausted trace leaves nothing in fetching_).
+    const bool progress =
+        window_occupancy_ < config_.window_size && !trace_exhausted_;
     std::uint32_t budget = config_.width;
     bool memory_fetched = false;
     while (budget > 0 && window_occupancy_ < config_.window_size) {
         if (!fetching_.has_value()) {
             if (trace_exhausted_) {
-                return;
+                return progress;
             }
             fetching_ = trace_.Next();
             if (!fetching_.has_value()) {
                 trace_exhausted_ = true;
-                return;
+                return progress;
             }
             fetch_compute_left_ = fetching_->compute_instructions;
         }
@@ -166,7 +169,7 @@ Core::Fetch()
         }
         // The entry's memory operation; at most one per cycle.
         if (memory_fetched) {
-            return;
+            return progress;
         }
         Slot slot;
         slot.kind = fetching_->is_write ? Slot::Kind::kStore
@@ -180,23 +183,21 @@ Core::Fetch()
         memory_fetched = true;
         fetching_.reset();
     }
+    return progress;
 }
 
 void
 Core::OnReadComplete(RequestId id)
 {
-    for (Slot& slot : window_) {
-        if (slot.kind == Slot::Kind::kLoad && slot.issued && !slot.done &&
-            slot.request_id == id) {
-            slot.done = true;
-            PARBS_ASSERT(outstanding_loads_ > 0,
-                         "load completion with none outstanding");
-            outstanding_loads_ -= 1;
-            stats_.loads_completed += 1;
-            return;
-        }
-    }
-    PARBS_ASSERT(false, "read completion for an unknown request");
+    const auto entry =
+        std::find_if(in_flight_.begin(), in_flight_.end(),
+                     [id](const auto& load) { return load.first == id; });
+    PARBS_ASSERT(entry != in_flight_.end(),
+                 "read completion for an unknown request");
+    entry->second->done = true;
+    *entry = in_flight_.back();
+    in_flight_.pop_back();
+    stats_.loads_completed += 1;
 }
 
 bool

@@ -17,6 +17,10 @@
  * flagged dependent (`depends_on_prev`), in which case its access does not
  * issue until all earlier accesses complete — the generator's model of
  * pointer chasing.
+ *
+ * A tick reports whether it made progress; a stalled core's cycles change
+ * nothing but its stall counters, so the System skips them and charges
+ * them in bulk (DESIGN.md §5d).
  */
 
 #ifndef PARBS_CPU_CORE_HH
@@ -24,6 +28,8 @@
 
 #include <cstdint>
 #include <deque>
+#include <utility>
+#include <vector>
 
 #include "common/types.hh"
 #include "trace/trace.hh"
@@ -55,6 +61,11 @@ struct CoreStats {
     std::uint64_t loads_issued = 0;
     std::uint64_t loads_completed = 0;
     std::uint64_t stores_issued = 0;
+    /** Tick()s actually executed: host work, not a model statistic.  Below
+     *  `cycles` by the idle cycles the event-driven sweep skipped. */
+    std::uint64_t ticks_executed = 0;
+
+    bool operator==(const CoreStats&) const = default;
 
     /** Memory cycles per instruction (Table 3's MCPI). */
     double
@@ -124,30 +135,24 @@ class Core {
     Core(const CoreConfig& config, ThreadId thread, TraceSource& trace,
          MemoryPort& port);
 
-    /** Advances the core by one CPU cycle. */
-    void Tick();
+    /**
+     * Advances the core by one CPU cycle.  @return false when the cycle
+     * changed nothing but the cycle and stall counters: nothing committed,
+     * issued, or fetched.  Such a core cannot progress until a read
+     * completes for it or a queue that refused its issue scan frees an
+     * entry, so the System skips its cycles until then (DESIGN.md §5d).
+     */
+    bool Tick();
 
     /**
-     * Split-phase cycle advance for the sharded core phase (DESIGN.md
-     * §5g): `TickFrontend()` runs the core-private half of a cycle —
-     * commit, the capture of this cycle's issue-scan bound, and fetch —
-     * and `TickIssue()` then performs the memory-issue half, which is the
-     * only part that touches the shared MemoryPort.  The System runs
-     * frontends for all cores in parallel, then issues serially in thread
-     * order, so request ids and controller arrival order are identical to
-     * the serial `Tick()` schedule.
-     *
-     * Equivalence with `Tick()` (which runs commit → issue → fetch): the
-     * issue scan is frozen to the pre-fetch prefix of the unissued queue
-     * via the captured bound — slots fetch appends are out of reach, and
-     * deque appends never invalidate the stored slot pointers — and fetch
-     * reads nothing issue writes (it looks at window occupancy, the trace
-     * cursor, and the back slot's kind; issue only flips issued/done bits
-     * on memory slots and pops the unissued queue).  A `TickFrontend()` +
-     * `TickIssue()` pair is therefore state-identical to one `Tick()`.
+     * Charges @p cycles skipped cycles to @p stats: exactly what that many
+     * Tick()s without progress add — the cycle count plus the stall
+     * counter of the blocked window head.
      */
-    void TickFrontend();
-    void TickIssue();
+    void ChargeIdle(CoreStats& stats, std::uint64_t cycles) const;
+
+    /** Adds @p cycles skipped cycles to this core's own counters. */
+    void AddIdleCycles(std::uint64_t cycles) { ChargeIdle(stats_, cycles); }
 
     /** Notification that the DRAM read with @p id returned its data. */
     void OnReadComplete(RequestId id);
@@ -169,7 +174,6 @@ class Core {
         bool depends_on_prev = false;
         bool issued = false;
         bool done = false;
-        RequestId request_id = 0;
     };
 
     CoreConfig config_;
@@ -183,7 +187,10 @@ class Core {
     /** Unissued memory slots, oldest first (points into window_). */
     std::deque<Slot*> unissued_;
 
-    std::uint32_t outstanding_loads_ = 0;
+    /** Outstanding loads (at most `mshrs`) by request id, so a completion
+     *  finds its slot without scanning the window; deque appends and
+     *  front pops never invalidate the slot pointers. */
+    std::vector<std::pair<RequestId, Slot*>> in_flight_;
 
     /** Entry currently being fetched (compute portion may be partial). */
     std::optional<TraceEntry> fetching_;
@@ -192,13 +199,10 @@ class Core {
 
     CoreStats stats_;
 
-    /** Issue-scan bound captured by TickFrontend for the paired
-     *  TickIssue (the pre-fetch unissued prefix). */
-    std::size_t issue_scan_ = 0;
-
-    void Commit();
-    void IssueMemory(std::size_t scan_limit);
-    void Fetch();
+    // Each returns whether it changed the core's state.
+    bool Commit();
+    bool IssueMemory();
+    bool Fetch();
 };
 
 } // namespace parbs

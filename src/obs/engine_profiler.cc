@@ -77,9 +77,6 @@ const char*
 EngineProfiler::PhaseName(Phase phase)
 {
     switch (phase) {
-    case Phase::kCoreFrontend: return "core_frontend";
-    case Phase::kCoreJoin: return "core_join";
-    case Phase::kCoreIssue: return "core_issue";
     case Phase::kCoreSweep: return "core_sweep";
     case Phase::kChannelWork: return "channel_work";
     case Phase::kBarrierJoin: return "barrier_join";
@@ -212,10 +209,6 @@ EngineProfiler::OnWindowClose(DramCycle from, DramCycle to,
         record.wall_end = Now() - construct_ticks_;
         Slot& coordinator = slots_[0];
         record.core_ticks =
-            coordinator
-                .window[static_cast<std::size_t>(Phase::kCoreFrontend)] +
-            coordinator.window[static_cast<std::size_t>(Phase::kCoreJoin)] +
-            coordinator.window[static_cast<std::size_t>(Phase::kCoreIssue)] +
             coordinator.window[static_cast<std::size_t>(Phase::kCoreSweep)];
         record.publish_ticks =
             coordinator.window[static_cast<std::size_t>(Phase::kPublish)];
@@ -223,12 +216,8 @@ EngineProfiler::OnWindowClose(DramCycle from, DramCycle to,
             coordinator.window[static_cast<std::size_t>(Phase::kMerge)];
         record.work_ticks.reserve(participants_);
         for (unsigned p = 0; p < participants_; ++p) {
-            record.work_ticks.push_back(
-                slots_[p].window[static_cast<std::size_t>(
-                    Phase::kChannelWork)] +
-                (p == 0 ? 0
-                        : slots_[p].window[static_cast<std::size_t>(
-                              Phase::kCoreFrontend)]));
+            record.work_ticks.push_back(slots_[p].window[
+                static_cast<std::size_t>(Phase::kChannelWork)]);
         }
         records_.push_back(std::move(record));
     } else {
@@ -318,13 +307,15 @@ EngineProfiler::TimingJson() const
     out.Set("phases", std::move(phases));
 
     // Convenience summaries (bench_report recomputes them from `phases`).
+    // The serial tail is the coordinator's work no worker shares: the
+    // core sweep, the notification publish, and the merge.
     const Slot& coordinator = slots_[0];
     std::uint64_t coordinator_total = 0;
     for (std::size_t index = 0; index < kPhaseCount; ++index) {
         coordinator_total += coordinator.ticks[index];
     }
     const std::uint64_t tail =
-        coordinator.ticks[static_cast<std::size_t>(Phase::kCoreIssue)] +
+        coordinator.ticks[static_cast<std::size_t>(Phase::kCoreSweep)] +
         coordinator.ticks[static_cast<std::size_t>(Phase::kPublish)] +
         coordinator.ticks[static_cast<std::size_t>(Phase::kMerge)];
     out.Set("serial_tail_fraction",
@@ -338,11 +329,9 @@ EngineProfiler::TimingJson() const
     for (unsigned p = 1; p < participants_; ++p) {
         const Slot& slot = slots_[p];
         const std::uint64_t busy =
-            slot.ticks[static_cast<std::size_t>(Phase::kChannelWork)] +
-            slot.ticks[static_cast<std::size_t>(Phase::kCoreFrontend)];
+            slot.ticks[static_cast<std::size_t>(Phase::kChannelWork)];
         const std::uint64_t idle =
-            slot.ticks[static_cast<std::size_t>(Phase::kWorkerPark)] +
-            slot.ticks[static_cast<std::size_t>(Phase::kCoreJoin)];
+            slot.ticks[static_cast<std::size_t>(Phase::kWorkerPark)];
         if (busy + idle > 0) {
             utilization_sum += static_cast<double>(busy) /
                                static_cast<double>(busy + idle);

@@ -11,14 +11,14 @@
  * - **Deterministic counters** — window count and tick histogram, per-
  *   channel arrivals and per-window arrival imbalance, queue occupancy
  *   sampled at window closes — are pure functions of the simulated
- *   schedule and must stay byte-identical across `--jobs`,
- *   `--channel-jobs`, and `core_jobs` (the serial engine replicates the
- *   sharded engine's window accounting so both report the same numbers).
+ *   schedule and must stay byte-identical across `--jobs` and
+ *   `--channel-jobs` (the serial engine replicates the sharded engine's
+ *   window accounting so both report the same numbers).
  *   They export under the bench JSON `run` subtree.
  *
  * - **Volatile wall-clock timings** — per-participant ticks in each phase
- *   (core frontend, coordinator serial tail, channel work, barrier and
- *   park waits, publish, merge) via a TSC-style clock sampled only at
+ *   (core sweep, channel work, barrier and park waits, publish, merge)
+ *   via a TSC-style clock sampled only at
  *   phase boundaries.  They export under `env`, and per-window records
  *   feed Chrome trace lanes on a synthetic "engine" process.
  *
@@ -53,18 +53,14 @@ class EngineProfiler {
   public:
     /** Engine phases, one accumulator per (participant, phase). */
     enum class Phase : std::uint8_t {
-        kCoreFrontend = 0, ///< Per-participant core frontend block.
-        kCoreJoin,         ///< Lockstep cycle join (coordinator) / release
-                           ///< wait (worker) in the parallel core phase.
-        kCoreIssue,        ///< Coordinator serial tail: thread-order issue.
-        kCoreSweep,        ///< Un-crewed serial core sweep of a window.
-        kChannelWork,      ///< Controller catch-up for owned channels.
-        kBarrierJoin,      ///< Coordinator spin on the team done counter.
-        kWorkerPark,       ///< Worker wait between windows.
-        kPublish,          ///< Notification schedule rebuild (k-way merge).
-        kMerge,            ///< Rest of the window merge (proxies, obs).
+        kCoreSweep = 0, ///< Coordinator's core sweep of a window.
+        kChannelWork,   ///< Controller catch-up for owned channels.
+        kBarrierJoin,   ///< Coordinator spin on the team done counter.
+        kWorkerPark,    ///< Worker wait between windows.
+        kPublish,       ///< Notification schedule rebuild (k-way merge).
+        kMerge,         ///< Rest of the window merge (proxies, obs).
     };
-    static constexpr std::size_t kPhaseCount = 9;
+    static constexpr std::size_t kPhaseCount = 6;
 
     static const char* PhaseName(Phase phase);
 
@@ -161,7 +157,7 @@ class EngineProfiler {
         std::uint64_t core_ticks = 0;
         std::uint64_t publish_ticks = 0;
         std::uint64_t merge_ticks = 0;
-        /** Per-participant kChannelWork + kCoreFrontend ticks. */
+        /** Per-participant kChannelWork ticks. */
         std::vector<std::uint64_t> work_ticks;
     };
 

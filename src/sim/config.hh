@@ -49,25 +49,22 @@ struct SystemConfig {
     /**
      * Intra-run parallelism: worker threads advancing the memory
      * controllers inside one System::Run (DESIGN.md §5g).  1 keeps the
-     * serial cycle loop; 0 means one worker per channel; values above the
-     * channel count are clamped.  Results are bit-identical for every
-     * value — sharding changes only which thread executes a controller's
-     * ticks, never their order or inputs — so this is purely a wall-clock
-     * knob.  Single-channel systems always run serial.
+     * serial cycle loop; 0 means one worker per channel, clamped to the
+     * hardware threads; values above the channel count are clamped.
+     * Results are bit-identical for every value — sharding changes only
+     * which thread executes a controller's ticks, never their order or
+     * inputs — so this is purely a wall-clock knob.  Single-channel
+     * systems always run serial.
      */
     unsigned channel_jobs = 1;
 
     /**
-     * Worker threads advancing the *cores* inside the sharded engine's
-     * core phase (DESIGN.md §5g).  Meaningful only when the run is sharded
-     * (channel_jobs != 1): 1 keeps the serial core sweep; 0 sizes the core
-     * crew automatically (matching the channel crew, engaged from 32 cores
-     * up, where the per-cycle core sweep starts to dominate); explicit
-     * values above 1 always engage and are clamped to the channel-crew
-     * size.  Bit-identical for every value — frontends are core-private,
-     * and memory issue stays a serial thread-order sweep.
+     * Reference check for the event-driven core sweep (DESIGN.md §5d):
+     * every core ticks every cycle, and a core the sweep had asleep must
+     * change nothing but its cycle and stall counters.  Enabled by
+     * PARBS_CHECK=1; results are identical either way.
      */
-    unsigned core_jobs = 0;
+    bool verify_core_fast_path = false;
 
     /**
      * Fixed latency added to every read completion before the core sees the

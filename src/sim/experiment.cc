@@ -68,6 +68,9 @@ ExperimentConfig::MakeSystemConfig(const SchedulerConfig& scheduler) const
         // The skip-ahead analogue of the protocol check: every skipped
         // cycle is re-scanned to prove no ready command was skippable.
         system.controller.verify_fast_path = true;
+        // And its core-side twin: every core ticks every cycle, proving
+        // each cycle the event-driven sweep skipped changed nothing.
+        system.verify_core_fast_path = true;
         // And the selection analogue: every pick made by the indexed
         // per-bank path is cross-checked against the full-scan path.
         system.controller.verify_indexed_selection = true;

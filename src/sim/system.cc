@@ -1,6 +1,7 @@
 #include "sim/system.hh"
 
 #include <algorithm>
+#include <bit>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -10,6 +11,7 @@
 #include "common/json.hh"
 #include "obs/engine_profiler.hh"
 #include "sim/channel_team.hh"
+#include "sim/runner.hh"
 
 namespace parbs {
 
@@ -135,13 +137,24 @@ System::System(const SystemConfig& config,
             active_cores_ += 1;
         }
     }
+    // Every core starts awake; nothing waits on a queue yet.
+    const std::size_t words = (cores_.size() + 63) / 64;
+    awake_.assign(words, ~std::uint64_t{0});
+    if (cores_.size() % 64 != 0) {
+        awake_.back() = (std::uint64_t{1} << (cores_.size() % 64)) - 1;
+    }
+    idle_since_.assign(cores_.size(), 0);
+    queue_waiters_.assign(2 * controllers_.size() * words, 0);
 
     // Resolve the sharded engine (DESIGN.md §5g).  channel_jobs == 0 means
-    // one worker per channel; anything above the channel count is wasted.
+    // one worker per channel, but never more workers than hardware threads
+    // (an oversubscribed team spins against itself); anything above the
+    // channel count is wasted.
     const auto channels =
         static_cast<std::uint32_t>(controllers_.size());
-    const unsigned requested =
-        config_.channel_jobs == 0 ? channels : config_.channel_jobs;
+    const unsigned requested = config_.channel_jobs == 0
+                                   ? std::min(channels, HardwareJobs())
+                                   : config_.channel_jobs;
     shard_jobs_ = std::max(1u, std::min<unsigned>(requested, channels));
     window_ = LookaheadWindow();
     sharded_ = shard_jobs_ > 1 && channels > 1 && window_ >= 1;
@@ -167,36 +180,6 @@ System::System(const SystemConfig& config,
                 std::make_unique<obs::LatencyAnatomy>(config_.num_cores);
         }
         shards_.push_back(std::move(shard));
-    }
-
-    // Resolve the core-phase crew (sharded engine only).  core_jobs == 0
-    // auto-sizes to the channel crew but only engages from 32 cores up,
-    // where the per-cycle core sweep starts to dominate the core phase;
-    // an explicit value > 1 always engages (clamped to the channel crew,
-    // whose threads it reuses, and to the core count).
-    const auto core_count = static_cast<unsigned>(cores_.size());
-    unsigned core_requested;
-    if (config_.core_jobs == 0) {
-        core_requested = config_.num_cores >= 32 ? shard_jobs_ : 1;
-    } else {
-        core_requested = config_.core_jobs;
-    }
-    core_crew_ =
-        std::max(1u, std::min({core_requested, shard_jobs_, core_count}));
-    if (core_crew_ > 1) {
-        core_workers_ =
-            std::make_unique<CoreWorkerState[]>(core_crew_);
-        core_blocks_.resize(core_crew_);
-        const ThreadId per = core_count / core_crew_;
-        const ThreadId extra = core_count % core_crew_;
-        ThreadId begin = 0;
-        for (unsigned p = 0; p < core_crew_; ++p) {
-            const ThreadId size = per + (p < extra ? 1 : 0);
-            core_blocks_[p] = {begin, begin + size};
-            begin += size;
-        }
-        core_notify_.resize(core_count);
-        core_notify_pos_.assign(core_count, 0);
     }
 
     team_ = std::make_unique<ChannelTeam>(
@@ -234,6 +217,13 @@ void
 System::Run(CpuCycle cpu_cycles)
 {
     const CpuCycle end = cpu_cycle_ + cpu_cycles;
+    // Sleeping cores' skipped cycles are charged when the run returns,
+    // also by an exception, so Core::stats() is exact between runs.
+    struct SettleGuard {
+        System& system;
+        ~SettleGuard() { system.SettleCores(); }
+    };
+    SettleGuard settle{*this};
     if (sharded_) {
         RunSharded(end);
     } else {
@@ -258,7 +248,7 @@ System::RunSerial(CpuCycle end)
             cpu_cycle_ == (prof_next_tick_ + window_) * ratio) {
             ProfileSerialWindow();
         }
-        if (cpu_cycle_ % config_.cpu_to_dram_ratio == 0) {
+        if (cpu_cycle_ % ratio == 0) {
             const DramCycle dram_now = DramNow();
             for (auto& controller : controllers_) {
                 controller->Tick(dram_now);
@@ -266,24 +256,9 @@ System::RunSerial(CpuCycle end)
             if (sampler_ != nullptr) {
                 sampler_->Tick(dram_now, controllers_);
             }
+            WakeQueueWaiters();
         }
-        if (next_notify_ready_ <= cpu_cycle_) {
-            DeliverNotifications();
-        }
-        for (ThreadId thread = 0; thread < cores_.size(); ++thread) {
-            cores_[thread]->Tick();
-            // Done() is monotone and flips only inside Tick, so checking
-            // the transition here keeps the end-of-run probe O(1).
-            if (core_done_[thread] == 0 && cores_[thread]->Done()) {
-                core_done_[thread] = 1;
-                active_cores_ -= 1;
-            }
-        }
-        cpu_cycle_ += 1;
-        if (progress_bound_cpu_ != 0 && cpu_cycle_ >= next_progress_check_) {
-            CheckGlobalProgress();
-        }
-        if (active_cores_ == 0 && AllDone()) {
+        if (RunCores(std::min(end, (DramNow() + 1) * ratio))) {
             break;
         }
     }
@@ -388,55 +363,24 @@ System::RunSharded(CpuCycle end)
         // Runs the cores up to the lookahead horizon, replaying queue
         // departures from the published retire/notification schedules so
         // backpressure and read returns are bit-exact without touching
-        // the controllers.  With a core crew the cycles run in lockstep
-        // across the team; otherwise the coordinator sweeps alone.
+        // the controllers.
         const CpuCycle core_end =
             std::min<CpuCycle>(end, (next_tick_ + window_) * ratio);
-        if (core_crew_ > 1) {
-            if (eng_ != nullptr) {
-                eng_->SetCurrentPhase(
-                    obs::EngineProfiler::Phase::kCoreFrontend);
+        const std::uint64_t sweep_start =
+            eng_ != nullptr ? obs::EngineProfiler::Now() : 0;
+        if (eng_ != nullptr) {
+            eng_->SetCurrentPhase(obs::EngineProfiler::Phase::kCoreSweep);
+        }
+        while (cpu_cycle_ < core_end && !all_done) {
+            if (cpu_cycle_ % ratio == 0) {
+                ApplyScheduledRetires(DramNow());
+                WakeQueueWaiters();
             }
-            all_done = RunCorePhaseParallel(core_end);
-        } else {
-            const std::uint64_t sweep_start =
-                eng_ != nullptr ? obs::EngineProfiler::Now() : 0;
-            if (eng_ != nullptr) {
-                eng_->SetCurrentPhase(obs::EngineProfiler::Phase::kCoreSweep);
-            }
-            while (cpu_cycle_ < core_end) {
-                if (cpu_cycle_ % ratio == 0) {
-                    ApplyScheduledRetires(DramNow());
-                }
-                if (next_notify_ready_ <= cpu_cycle_) {
-                    DeliverNotifications();
-                }
-                for (ThreadId thread = 0; thread < cores_.size();
-                     ++thread) {
-                    cores_[thread]->Tick();
-                    if (core_done_[thread] == 0 && cores_[thread]->Done()) {
-                        core_done_[thread] = 1;
-                        active_cores_ -= 1;
-                    }
-                }
-                cpu_cycle_ += 1;
-                if (progress_bound_cpu_ != 0 &&
-                    cpu_cycle_ >= next_progress_check_) {
-                    CheckGlobalProgress();
-                }
-                // The serial engine's AllDone(), against the proxies: the
-                // controllers are behind, but the proxies describe their
-                // state at exactly this point of virtual time.
-                if (active_cores_ == 0 && notifications_.empty() &&
-                    AllShardsIdle()) {
-                    all_done = true;
-                    break;
-                }
-            }
-            if (eng_ != nullptr) {
-                eng_->AddPhaseTicks(0, obs::EngineProfiler::Phase::kCoreSweep,
-                                    obs::EngineProfiler::Now() - sweep_start);
-            }
+            all_done = RunCores(std::min(core_end, (DramNow() + 1) * ratio));
+        }
+        if (eng_ != nullptr) {
+            eng_->AddPhaseTicks(0, obs::EngineProfiler::Phase::kCoreSweep,
+                                obs::EngineProfiler::Now() - sweep_start);
         }
 
         // --- controller catch-up (parallel) + barrier ------------------
@@ -470,14 +414,6 @@ System::RunSharded(CpuCycle end)
 void
 System::RunParticipant(unsigned participant)
 {
-    if (team_phase_ == TeamPhase::kCores) {
-        if (participant == 0) {
-            RunCoreCoordinator();
-        } else if (participant < core_crew_) {
-            RunCoreWorker(participant);
-        }
-        return;
-    }
     const std::uint64_t work_start =
         eng_ != nullptr ? obs::EngineProfiler::Now() : 0;
     const auto channels = static_cast<std::uint32_t>(controllers_.size());
@@ -497,226 +433,170 @@ System::RunParticipant(unsigned participant)
 }
 
 bool
-System::RunCorePhaseParallel(CpuCycle core_end)
+System::RunCores(CpuCycle until)
 {
-    core_phase_base_ = cpu_cycle_;
-    core_phase_end_ = core_end;
-    core_phase_all_done_ = false;
-    core_release_.store(0, std::memory_order_relaxed);
-    core_stop_.store(false, std::memory_order_relaxed);
-    for (unsigned p = 0; p < core_crew_; ++p) {
-        core_workers_[p].done.store(0, std::memory_order_relaxed);
-        core_workers_[p].error = nullptr;
-    }
-    // Mirror the (phase-static) notification deque into per-core slices so
-    // workers deliver without touching shared state.  Entries are in ready
-    // order globally, hence also within each core's slice.
-    for (auto& mirror : core_notify_) {
-        mirror.clear();
-    }
-    core_notify_pos_.assign(core_notify_.size(), 0);
-    for (const PendingNotify& entry : notifications_) {
-        core_notify_[entry.thread].push_back(entry);
-    }
-
-    // The team's release/join synchronizes the setup above with the
-    // workers (and their frontends back with the coordinator).
-    team_phase_ = TeamPhase::kCores;
-    team_->RunWindow();
-    team_phase_ = TeamPhase::kChannels;
-
-    for (unsigned p = 1; p < core_crew_; ++p) {
-        if (core_workers_[p].error != nullptr) {
-            std::exception_ptr error = core_workers_[p].error;
-            core_workers_[p].error = nullptr;
-            RethrowShardError(error);
+    const bool verify = config_.verify_core_fast_path;
+    while (cpu_cycle_ < until) {
+        if (next_notify_ready_ <= cpu_cycle_) {
+            DeliverNotifications();
         }
-    }
-    return core_phase_all_done_;
-}
-
-void
-System::AdvanceCoreBlock(unsigned participant, CpuCycle cycle)
-{
-    const auto [begin, end] = core_blocks_[participant];
-    for (ThreadId thread = begin; thread < end; ++thread) {
-        // Serial delivery order: a cycle's due notifications land before
-        // the core's commit (delivery only touches this core's window).
-        std::vector<PendingNotify>& mirror = core_notify_[thread];
-        std::size_t& pos = core_notify_pos_[thread];
-        while (pos < mirror.size() && mirror[pos].ready <= cycle) {
-            cores_[thread]->OnReadComplete(mirror[pos].id);
-            pos += 1;
-        }
-        cores_[thread]->TickFrontend();
-    }
-}
-
-void
-System::RunCoreCoordinator()
-{
-    // However this phase ends — horizon reached, all-done probe, or an
-    // exception (e.g. the watchdog) unwinding — the workers must be told
-    // to stand down, or the team join would hang.
-    struct StopGuard {
-        System& system;
-        ~StopGuard()
-        {
-            system.core_stop_.store(true, std::memory_order_release);
-        }
-    };
-    StopGuard guard{*this};
-
-    const CpuCycle ratio = config_.cpu_to_dram_ratio;
-    // Phase timing stays out of the per-cycle loop's stores: four clock
-    // samples per cycle accumulate into locals, folded into the profiler
-    // once per phase (and only when profiling is on at all).
-    const bool profiled = eng_ != nullptr;
-    std::uint64_t frontend_ticks = 0;
-    std::uint64_t join_ticks = 0;
-    std::uint64_t issue_ticks = 0;
-    CpuCycle released = 0;
-    while (cpu_cycle_ < core_phase_end_) {
-        const std::uint64_t t0 =
-            profiled ? obs::EngineProfiler::Now() : 0;
-        // Release the cycle, then run our own block while the crew runs
-        // theirs.
-        released += 1;
-        core_release_.store(released, std::memory_order_release);
-        AdvanceCoreBlock(0, cpu_cycle_);
-        const std::uint64_t t1 =
-            profiled ? obs::EngineProfiler::Now() : 0;
-
-        // Join: every worker has finished the cycle's frontends (or bailed
-        // out with its done counter pinned to the sentinel).
-        bool worker_failed = false;
-        for (unsigned p = 1; p < core_crew_; ++p) {
-            int spins = 0;
-            while (core_workers_[p].done.load(std::memory_order_acquire) <
-                   released) {
-                if (++spins > 4000) {
-                    std::this_thread::yield();
+        bool any_awake = false;
+        if (verify) {
+            // Reference schedule: every core ticks, in thread order.
+            for (ThreadId thread = 0; thread < cores_.size(); ++thread) {
+                if ((awake_[thread / 64] >> (thread % 64)) & 1) {
+                    TickCore(thread);
+                } else {
+                    VerifySleepingCore(thread);
                 }
             }
-            if (core_workers_[p].error != nullptr) {
-                worker_failed = true;
-            }
-        }
-        const std::uint64_t t2 =
-            profiled ? obs::EngineProfiler::Now() : 0;
-        frontend_ticks += t1 - t0;
-        join_ticks += t2 - t1;
-        if (worker_failed) {
-            // RunCorePhaseParallel rethrows after the team join.
-            break;
-        }
-
-        // --- serial tail: everything that touches shared state ---------
-        if (cpu_cycle_ % ratio == 0) {
-            ApplyScheduledRetires(DramNow());
-        }
-        // Memory issue in thread order — the global request-id, arrival-
-        // seq, and backpressure order of the serial engine.
-        for (ThreadId thread = 0; thread < cores_.size(); ++thread) {
-            cores_[thread]->TickIssue();
-        }
-        // The workers delivered this cycle's notifications from the
-        // mirrors; retire the delivered prefix of the shared deque so the
-        // all-done probe (and the next phase's mirrors) stay exact.
-        while (!notifications_.empty() &&
-               notifications_.front().ready <= cpu_cycle_) {
-            notifications_.pop_front();
-        }
-        next_notify_ready_ = notifications_.empty()
-                                 ? kNeverCycle
-                                 : notifications_.front().ready;
-        for (ThreadId thread = 0; thread < cores_.size(); ++thread) {
-            if (core_done_[thread] == 0 && cores_[thread]->Done()) {
-                core_done_[thread] = 1;
-                active_cores_ -= 1;
+        } else {
+            for (std::size_t word = 0; word < awake_.size(); ++word) {
+                // Cores only fall asleep during the sweep (wakes come from
+                // deliveries and retires, before it), so a snapshot of the
+                // word is the exact due set in thread order.
+                for (std::uint64_t due = awake_[word]; due != 0;
+                     due &= due - 1) {
+                    TickCore(static_cast<ThreadId>(
+                        word * 64 + std::countr_zero(due)));
+                }
+                any_awake = any_awake || awake_[word] != 0;
             }
         }
         cpu_cycle_ += 1;
-        if (profiled) {
-            issue_ticks += obs::EngineProfiler::Now() - t2;
-        }
         if (progress_bound_cpu_ != 0 && cpu_cycle_ >= next_progress_check_) {
             CheckGlobalProgress();
         }
-        if (active_cores_ == 0 && notifications_.empty() &&
-            AllShardsIdle()) {
-            core_phase_all_done_ = true;
-            break;
+        // On the sharded engine the proxies stand in for the lagging
+        // controllers: they describe their state at exactly this cycle.
+        if (active_cores_ == 0 &&
+            (sharded_ ? notifications_.empty() && AllShardsIdle()
+                      : AllDone())) {
+            return true;
+        }
+        if (any_awake || verify) {
+            continue;
+        }
+        // No core is due before the next notification, the watchdog's next
+        // check, or `until` (the next controller tick), and nothing the
+        // drained probe reads changes before then: jump.
+        CpuCycle next = std::min(until, next_notify_ready_);
+        if (progress_bound_cpu_ != 0) {
+            next = std::min(next, next_progress_check_);
+        }
+        if (next > cpu_cycle_) {
+            cpu_cycle_ = next;
+            if (progress_bound_cpu_ != 0 &&
+                cpu_cycle_ >= next_progress_check_) {
+                CheckGlobalProgress();
+            }
         }
     }
-    if (profiled) {
-        eng_->AddPhaseTicks(0, obs::EngineProfiler::Phase::kCoreFrontend,
-                            frontend_ticks);
-        eng_->AddPhaseTicks(0, obs::EngineProfiler::Phase::kCoreJoin,
-                            join_ticks);
-        eng_->AddPhaseTicks(0, obs::EngineProfiler::Phase::kCoreIssue,
-                            issue_ticks);
+    return false;
+}
+
+void
+System::TickCore(ThreadId thread)
+{
+    Core& core = *cores_[thread];
+    if (core.Tick()) {
+        // Done() is monotone and flips only on a tick with progress, so
+        // checking the transition here keeps the all-done probe O(1).
+        if (core_done_[thread] == 0 && core.Done()) {
+            core_done_[thread] = 1;
+            active_cores_ -= 1;
+        }
+        return;
+    }
+    awake_[thread / 64] &= ~(std::uint64_t{1} << (thread % 64));
+    idle_since_[thread] = cpu_cycle_ + 1;
+}
+
+void
+System::VerifySleepingCore(ThreadId thread)
+{
+    Core& core = *cores_[thread];
+    CoreStats expected = core.stats();
+    core.ChargeIdle(expected, 1);
+    expected.ticks_executed += 1;
+    const bool progress = core.Tick();
+    PARBS_ASSERT(!progress && core.stats() == expected,
+                 "core fast path slept through a cycle with progress");
+    // Ticked for real, so nothing is left to charge in bulk.
+    idle_since_[thread] = cpu_cycle_ + 1;
+}
+
+void
+System::Wake(ThreadId thread)
+{
+    std::uint64_t& word = awake_[thread / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (thread % 64);
+    if ((word & bit) == 0) {
+        word |= bit;
+        cores_[thread]->AddIdleCycles(cpu_cycle_ - idle_since_[thread]);
     }
 }
 
 void
-System::RunCoreWorker(unsigned participant)
+System::WakeQueueWaiters()
 {
-    CoreWorkerState& state = core_workers_[participant];
-    const bool profiled = eng_ != nullptr;
-    std::uint64_t frontend_ticks = 0;
-    std::uint64_t wait_ticks = 0;
-    std::uint64_t wait_start = profiled ? obs::EngineProfiler::Now() : 0;
-    const auto flush = [&] {
-        if (profiled) {
-            eng_->AddPhaseTicks(participant,
-                                obs::EngineProfiler::Phase::kCoreFrontend,
-                                frontend_ticks);
-            eng_->AddPhaseTicks(participant,
-                                obs::EngineProfiler::Phase::kCoreJoin,
-                                wait_ticks);
-        }
-    };
-    CpuCycle done = 0;
-    int spins = 0;
-    while (true) {
-        const CpuCycle released =
-            core_release_.load(std::memory_order_acquire);
-        if (done < released) {
-            const std::uint64_t t0 =
-                profiled ? obs::EngineProfiler::Now() : 0;
-            wait_ticks += t0 - wait_start;
-            try {
-                AdvanceCoreBlock(participant, core_phase_base_ + done);
-            } catch (...) {
-                state.error = std::current_exception();
-                state.done.store(kNeverCycle, std::memory_order_release);
-                flush();
-                return;
+    const std::size_t words = awake_.size();
+    for (std::uint32_t channel = 0; channel < controllers_.size();
+         ++channel) {
+        for (const bool write : {false, true}) {
+            std::uint64_t* waiters = QueueWaiters(channel, write);
+            if (std::all_of(waiters, waiters + words,
+                            [](std::uint64_t word) { return word == 0; })) {
+                continue;
             }
-            done += 1;
-            state.done.store(done, std::memory_order_release);
-            wait_start = profiled ? obs::EngineProfiler::Now() : 0;
-            frontend_ticks += wait_start - t0;
-            spins = 0;
-            continue;
-        }
-        if (core_stop_.load(std::memory_order_acquire)) {
-            // The stop store is release-ordered after the final release,
-            // so this acquire makes any just-released cycle visible —
-            // re-check before exiting or the coordinator's join hangs.
-            if (done ==
-                core_release_.load(std::memory_order_acquire)) {
-                if (profiled) {
-                    wait_ticks += obs::EngineProfiler::Now() - wait_start;
+            // The sharded engine's controllers lag; its proxies hold the
+            // queue sizes at this cycle.
+            bool space;
+            if (sharded_) {
+                const ChannelShard& shard = *shards_[channel];
+                space = write ? shard.write_size < write_capacity_
+                              : shard.read_size < read_capacity_;
+            } else {
+                const Controller& controller = *controllers_[channel];
+                space = write ? controller.CanAcceptWrite()
+                              : controller.CanAcceptRead();
+            }
+            if (!space) {
+                continue;
+            }
+            for (std::size_t word = 0; word < words; ++word) {
+                for (std::uint64_t bits = waiters[word]; bits != 0;
+                     bits &= bits - 1) {
+                    Wake(static_cast<ThreadId>(word * 64 +
+                                               std::countr_zero(bits)));
                 }
-                flush();
-                return;
+                waiters[word] = 0;
             }
-            continue;
         }
-        if (++spins > 4000) {
-            std::this_thread::yield();
+    }
+}
+
+void
+System::AwaitQueue(std::uint32_t channel, bool write, ThreadId thread)
+{
+    // Direct MemoryPort callers (tests, fault scenarios) may issue for a
+    // thread without a core; there is nothing to wake then.
+    if (thread < cores_.size()) {
+        QueueWaiters(channel, write)[thread / 64] |= std::uint64_t{1}
+                                                     << (thread % 64);
+    }
+}
+
+void
+System::SettleCores()
+{
+    // A core that fell asleep in a cycle an exception cut short has
+    // nothing to charge yet (its idle time starts at the next cycle).
+    for (ThreadId thread = 0; thread < cores_.size(); ++thread) {
+        if (((awake_[thread / 64] >> (thread % 64)) & 1) == 0 &&
+            idle_since_[thread] < cpu_cycle_) {
+            cores_[thread]->AddIdleCycles(cpu_cycle_ - idle_since_[thread]);
+            idle_since_[thread] = cpu_cycle_;
         }
     }
 }
@@ -1044,6 +924,7 @@ System::ProgressSignature() const
 void
 System::CheckGlobalProgress()
 {
+    SettleCores();
     // Amortize the signature scan; the bound is thousands of cycles.  On
     // the sharded engine this runs during the core phase, when the workers
     // are parked — the controller counters may lag by up to one lookahead
@@ -1082,37 +963,13 @@ System::EngineStateDump() const
     std::ostringstream out;
     out << "---- engine state ----\n"
         << "engine=" << (sharded_ ? "sharded" : "serial")
-        << " channel_jobs=" << shard_jobs_ << " core_crew=" << core_crew_
+        << " channel_jobs=" << shard_jobs_
         << " lookahead_window=" << window_ << "\n"
         << "cpu_cycle=" << cpu_cycle_ << " next_tick=" << next_tick_
         << " window=[" << window_from_ << "," << window_to_
-        << ") limit=" << window_limit_ << "\n"
-        << "team_phase="
-        << (team_phase_ == TeamPhase::kCores ? "cores" : "channels");
+        << ") limit=" << window_limit_ << "\n";
     if (eng_ != nullptr) {
-        out << " profiler_phase=" << eng_->CurrentPhaseName();
-    }
-    out << "\n";
-    if (core_crew_ > 1 && core_workers_ != nullptr) {
-        const CpuCycle released =
-            core_release_.load(std::memory_order_acquire);
-        out << "core_release=" << released << " core_stop="
-            << (core_stop_.load(std::memory_order_acquire) ? 1 : 0)
-            << " phase_base=" << core_phase_base_
-            << " phase_end=" << core_phase_end_ << "\n";
-        for (unsigned p = 1; p < core_crew_; ++p) {
-            const CpuCycle done =
-                core_workers_[p].done.load(std::memory_order_acquire);
-            out << "core_worker[" << p << "] done=";
-            if (done == kNeverCycle) {
-                out << "bailed (error pending)";
-            } else {
-                out << done
-                    << (done < released ? " (parked on the cycle join)"
-                                        : " (caught up, awaiting release)");
-            }
-            out << "\n";
-        }
+        out << "profiler_phase=" << eng_->CurrentPhaseName() << "\n";
     }
     for (std::uint32_t channel = 0; channel < shards_.size(); ++channel) {
         const ChannelShard& shard = *shards_[channel];
@@ -1170,6 +1027,8 @@ System::DeliverNotifications()
            notifications_.front().ready <= cpu_cycle_) {
         const PendingNotify n = notifications_.front();
         notifications_.pop_front();
+        // Charge the skipped cycles while the head still stalls on it.
+        Wake(n.thread);
         cores_[n.thread]->OnReadComplete(n.id);
     }
     next_notify_ready_ = notifications_.empty()
@@ -1419,6 +1278,7 @@ System::TryIssueRead(ThreadId thread, Addr addr)
     if (sharded_) {
         ChannelShard& shard = *shards_[coords.channel];
         if (shard.read_size >= read_capacity_) {
+            AwaitQueue(coords.channel, false, thread);
             return std::nullopt;
         }
         RequestPtr request = MakeRequest(thread, addr, false, coords);
@@ -1433,6 +1293,7 @@ System::TryIssueRead(ThreadId thread, Addr addr)
     }
     Controller& controller = *controllers_[coords.channel];
     if (!controller.CanAcceptRead()) {
+        AwaitQueue(coords.channel, false, thread);
         return std::nullopt;
     }
     RequestPtr request = MakeRequest(thread, addr, false, coords);
@@ -1452,6 +1313,7 @@ System::TryIssueWrite(ThreadId thread, Addr addr)
     if (sharded_) {
         ChannelShard& shard = *shards_[coords.channel];
         if (shard.write_size >= write_capacity_) {
+            AwaitQueue(coords.channel, true, thread);
             return false;
         }
         shard.write_size += 1;
@@ -1464,6 +1326,7 @@ System::TryIssueWrite(ThreadId thread, Addr addr)
     }
     Controller& controller = *controllers_[coords.channel];
     if (!controller.CanAcceptWrite()) {
+        AwaitQueue(coords.channel, true, thread);
         return false;
     }
     controller.Enqueue(MakeRequest(thread, addr, true, coords), DramNow());

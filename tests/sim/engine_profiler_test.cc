@@ -3,7 +3,7 @@
  * Engine flight-recorder tests (DESIGN.md §5h).  The profiler's contract
  * splits in two: the deterministic counters (window schedule, arrival
  * imbalance, occupancy, pick-memo rates) must be byte-identical across
- * every engine shape — serial loop, channel shards, explicit core crews —
+ * every engine shape — the serial loop and channel shards of any size —
  * while the wall-clock phase timings are volatile and live only on the
  * env side.  Turning the profiler on must never perturb the simulation
  * itself, and the engine state dump must describe whichever engine is
@@ -57,7 +57,6 @@ struct ProfiledArtifacts {
     std::string engine_run; ///< EngineRunJson().Dump(2) — deterministic.
     CpuCycle stop = 0;
     bool sharded = false;
-    unsigned core_crew = 1;
 };
 
 ProfiledArtifacts
@@ -69,7 +68,6 @@ RunProfiled(const SystemConfig& config, std::uint32_t cores,
     ProfiledArtifacts out;
     out.stop = system.now();
     out.sharded = system.sharded();
-    out.core_crew = system.core_crew();
     std::ostringstream stats;
     system.DumpStats(stats);
     out.stats = stats.str();
@@ -92,29 +90,16 @@ TEST_P(EngineCounterDeterminism, ByteIdenticalAcrossEngineShapes)
         ProfiledConfig(kCores, scheduler, 1), kCores, kCycles);
     ASSERT_FALSE(serial.sharded);
 
-    // Channel shards at two crew sizes (auto core crew engages at 64
-    // cores), plus one explicitly narrowed core crew: every shape must
-    // reproduce the serial counters byte for byte.
+    // Channel shards at two crew sizes: every shape must reproduce the
+    // serial counters byte for byte.
     for (const unsigned jobs : {4u, 8u}) {
         const ProfiledArtifacts sharded = RunProfiled(
             ProfiledConfig(kCores, scheduler, jobs), kCores, kCycles);
         ASSERT_TRUE(sharded.sharded) << "jobs=" << jobs;
-        ASSERT_EQ(sharded.core_crew, jobs) << "jobs=" << jobs;
         EXPECT_EQ(serial.stop, sharded.stop) << "jobs=" << jobs;
         EXPECT_EQ(serial.stats, sharded.stats) << "jobs=" << jobs;
         EXPECT_EQ(serial.engine_run, sharded.engine_run)
             << "jobs=" << jobs;
-    }
-    {
-        SystemConfig config = ProfiledConfig(kCores, scheduler, 4);
-        config.core_jobs = 2;
-        const ProfiledArtifacts narrow =
-            RunProfiled(config, kCores, kCycles);
-        ASSERT_TRUE(narrow.sharded);
-        ASSERT_EQ(narrow.core_crew, 2u);
-        EXPECT_EQ(serial.stop, narrow.stop);
-        EXPECT_EQ(serial.stats, narrow.stats);
-        EXPECT_EQ(serial.engine_run, narrow.engine_run);
     }
 }
 

@@ -1,16 +1,17 @@
 /**
  * @file
  * Scale-out equivalence tests (DESIGN.md §5g): at 64+ cores the sharded
- * engine adds a parallel core phase and pre-published read notifications
- * on top of the channel shards, and the whole stack must stay bit-identical
- * to the serial loop — same stats bytes, same trace bytes, same stop cycle
- * — for every scheduler, channel-crew size, and core-crew size.  Also
+ * engine's pre-published read notifications and event-driven core sweep
+ * run on top of the channel shards, and the whole stack must stay
+ * bit-identical to the serial loop — same stats bytes, same trace bytes,
+ * same stop cycle — for every scheduler and channel-crew size.  Also
  * covers the generalized baseline geometries (128/256 cores scale by
  * ranks) and the sampled PARBS_CHECK selection cross-check.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -18,6 +19,7 @@
 
 #include "sched/factory.hh"
 #include "sim/experiment.hh"
+#include "sim/runner.hh"
 #include "sim/system.hh"
 #include "trace/synthetic.hh"
 
@@ -44,7 +46,6 @@ struct Artifacts {
     std::string trace;
     CpuCycle stop = 0;
     bool sharded = false;
-    unsigned core_crew = 1;
 };
 
 Artifacts
@@ -55,7 +56,6 @@ RunSystem(const SystemConfig& config, std::uint32_t cores, CpuCycle cycles)
     Artifacts out;
     out.stop = system.now();
     out.sharded = system.sharded();
-    out.core_crew = system.core_crew();
     std::ostringstream stats;
     system.DumpStats(stats);
     out.stats = stats.str();
@@ -95,9 +95,6 @@ TEST_P(ScaleShardedEquivalence, BitIdenticalAt64Cores)
         const Artifacts sharded = RunSystem(
             TracedConfig(kCores, scheduler, jobs), kCores, kCycles);
         ASSERT_TRUE(sharded.sharded) << "jobs=" << jobs;
-        // core_jobs defaults to auto, which engages the parallel core
-        // phase from 32 cores up — this suite must actually exercise it.
-        ASSERT_EQ(sharded.core_crew, jobs) << "jobs=" << jobs;
         EXPECT_EQ(serial.stop, sharded.stop) << "jobs=" << jobs;
         EXPECT_EQ(serial.stats, sharded.stats) << "jobs=" << jobs;
         EXPECT_EQ(serial.trace, sharded.trace) << "jobs=" << jobs;
@@ -118,58 +115,21 @@ INSTANTIATE_TEST_SUITE_P(
         return name;
     });
 
-TEST(ScaleSharded, ExplicitCoreCrewEngagesBelowAutoThreshold)
+TEST(ScaleSharded, AutoChannelJobsNeverExceedHardwareThreads)
 {
-    // core_jobs > 1 always engages (the auto gate applies only to 0), so
-    // the lockstep core phase is testable at small, fast configs too.
-    SchedulerConfig scheduler;
-    scheduler.kind = SchedulerKind::kParBs;
-    constexpr CpuCycle kCycles = 60000;
-    const Artifacts serial =
-        RunSystem(TracedConfig(16, scheduler, 1), 16, kCycles);
-    for (const unsigned crew : {2u, 4u}) {
-        SystemConfig config = TracedConfig(16, scheduler, 4);
-        config.core_jobs = crew;
-        const Artifacts sharded = RunSystem(config, 16, kCycles);
-        ASSERT_TRUE(sharded.sharded) << "crew=" << crew;
-        ASSERT_EQ(sharded.core_crew, crew) << "crew=" << crew;
-        EXPECT_EQ(serial.stop, sharded.stop) << "crew=" << crew;
-        EXPECT_EQ(serial.stats, sharded.stats) << "crew=" << crew;
-        EXPECT_EQ(serial.trace, sharded.trace) << "crew=" << crew;
-    }
-}
-
-TEST(ScaleSharded, AutoCoreCrewGatesOnCoreCount)
-{
-    SchedulerConfig scheduler;
-    scheduler.kind = SchedulerKind::kFrFcfs;
-    {
-        // Below 32 cores, auto keeps the core sweep serial.
-        SystemConfig config = SystemConfig::Baseline(16);
-        config.scheduler = scheduler;
-        config.channel_jobs = 4;
-        System system(config, SyntheticTraces(config, 16));
-        ASSERT_TRUE(system.sharded());
-        EXPECT_EQ(system.core_crew(), 1u);
-    }
-    {
-        // From 32 cores up, auto matches the channel crew.
-        SystemConfig config = SystemConfig::Baseline(64);
-        config.scheduler = scheduler;
-        config.channel_jobs = 8;
-        System system(config, SyntheticTraces(config, 64));
-        ASSERT_TRUE(system.sharded());
-        EXPECT_EQ(system.core_crew(), 8u);
-    }
-    {
-        // core_jobs = 1 forces the serial sweep at any scale.
-        SystemConfig config = SystemConfig::Baseline(64);
-        config.scheduler = scheduler;
-        config.channel_jobs = 8;
-        config.core_jobs = 1;
-        System system(config, SyntheticTraces(config, 64));
-        ASSERT_TRUE(system.sharded());
-        EXPECT_EQ(system.core_crew(), 1u);
+    // channel_jobs 0 asks for one worker per channel, but a team larger
+    // than the machine only spins against itself: the auto shape is
+    // clamped to the hardware threads (and to the channel count).
+    for (const std::uint32_t cores : {16u, 64u, 256u}) {
+        SystemConfig config = SystemConfig::Baseline(cores);
+        config.channel_jobs = 0;
+        System system(config, SyntheticTraces(config, 4));
+        EXPECT_LE(system.channel_jobs(), HardwareJobs()) << cores;
+        EXPECT_EQ(system.channel_jobs(),
+                  system.sharded()
+                      ? std::min(config.geometry.channels, HardwareJobs())
+                      : 1u)
+            << cores;
     }
 }
 
