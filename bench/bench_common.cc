@@ -22,22 +22,6 @@ BinaryName(const char* argv0)
     return name;
 }
 
-/**
- * Run-level pool size: --jobs divided by the per-run channel workers so
- * --jobs J --channel-jobs C composes without oversubscription.  0 channel
- * workers means "one per channel" (unknown here), which in practice wants
- * the whole machine for each run — treat it as all hardware threads.
- */
-unsigned
-PoolJobs(const Options& options)
-{
-    const unsigned divisor = options.channel_jobs == 0
-                                 ? HardwareJobs()
-                                 : options.channel_jobs;
-    return divisor > 1 ? std::max(1u, options.jobs / divisor)
-                       : options.jobs;
-}
-
 } // namespace
 
 Options
@@ -86,6 +70,14 @@ ParseOptions(int argc, char** argv)
     return options;
 }
 
+unsigned
+RunnerTeam(const ExperimentRunner& runner)
+{
+    const SystemConfig config =
+        runner.config().MakeSystemConfig(SchedulerConfig{});
+    return ResolveChannelJobs(config.channel_jobs, config.geometry.channels);
+}
+
 ExperimentRunner
 MakeRunner(const Options& options, std::uint32_t cores)
 {
@@ -113,7 +105,6 @@ Session::Session(int argc, char** argv, const std::string& id,
                  const std::string& caption)
     : options_(ParseOptions(argc, argv)),
       binary_(BinaryName(argc > 0 ? argv[0] : nullptr)),
-      pool_(std::make_unique<TaskPool>(PoolJobs(options_))),
       start_(std::chrono::steady_clock::now())
 {
     Banner(id, caption);
@@ -122,6 +113,15 @@ Session::Session(int argc, char** argv, const std::string& id,
 Session::~Session()
 {
     Finish();
+}
+
+unsigned
+Session::BatchJobs(unsigned team)
+{
+    const unsigned jobs =
+        team > 1 ? std::max(1u, options_.jobs / team) : options_.jobs;
+    jobs_used_ = std::max(jobs_used_, jobs);
+    return jobs;
 }
 
 json::Value&
@@ -212,7 +212,7 @@ Session::Finish()
                                       start_)
             .count();
     std::fprintf(stderr, "[bench] %s: wall-clock %.2f s (jobs=%u)\n",
-                 binary_.c_str(), wall_seconds, options_.jobs);
+                 binary_.c_str(), wall_seconds, jobs_used_);
     if (options_.json_path.empty()) {
         return;
     }
@@ -234,7 +234,7 @@ Session::Finish()
 
     json::Value env = json::Value::Object();
     env.Set("wall_seconds", wall_seconds);
-    env.Set("jobs", static_cast<std::uint64_t>(options_.jobs));
+    env.Set("jobs", static_cast<std::uint64_t>(jobs_used_));
     // Parallelism knobs never reach the "run" subtree: results are
     // bit-identical for every value, so they are environment, not input.
     env.Set("channel_jobs",
@@ -263,7 +263,8 @@ RunTasks(Session& session, ExperimentRunner& runner,
          const std::vector<RunTask>& tasks)
 {
     std::vector<SharedRun> results(tasks.size());
-    session.pool().ParallelFor(tasks.size(), [&](std::size_t index) {
+    const unsigned jobs = session.BatchJobs(RunnerTeam(runner));
+    ParallelFor(jobs, tasks.size(), [&](std::size_t index) {
         const RunTask& task = tasks[index];
         results[index] = runner.RunShared(
             task.workload, task.scheduler,

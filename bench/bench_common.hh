@@ -15,8 +15,10 @@
  *   --channel-jobs N  worker threads advancing the memory controllers
  *                  *inside* each run (default 1 = serial loop; 0 = one per
  *                  channel).  Bit-identical for every N — DESIGN.md §5g.
- *                  Composes with --jobs: the run-level pool is divided by
- *                  N so --jobs J --channel-jobs C never oversubscribes.
+ *                  Composes with --jobs: each batch's run-level jobs are
+ *                  divided by the team its systems resolve to
+ *                  (ResolveChannelJobs), so --jobs J --channel-jobs C
+ *                  never oversubscribes.
  *   --engine       enable the engine flight recorder (DESIGN.md §5h) on
  *                  every run that supports it; deterministic engine
  *                  counters land under the JSON "run.engine" subtree and
@@ -82,13 +84,17 @@ Options ParseOptions(int argc, char** argv);
 /** An experiment runner configured from @p options. */
 ExperimentRunner MakeRunner(const Options& options, std::uint32_t cores);
 
+/** Host threads each of @p runner's systems shards onto
+ *  (ResolveChannelJobs of its system configuration). */
+unsigned RunnerTeam(const ExperimentRunner& runner);
+
 /** Prints the figure/table banner. */
 void Banner(const std::string& id, const std::string& caption);
 
 /**
- * One benchmark-binary invocation: parses the CLI, prints the banner, owns
- * the worker pool, collects structured results, and writes the JSON file
- * (and a wall-clock line on stderr) when destroyed.
+ * One benchmark-binary invocation: parses the CLI, prints the banner,
+ * sizes each parallel batch, collects structured results, and writes the
+ * JSON file (and a wall-clock line on stderr) when destroyed.
  *
  * The Record* methods are not thread-safe; call them from the main thread
  * after the parallel runs have completed (the Run* helpers below do this).
@@ -106,7 +112,14 @@ class Session {
     Session& operator=(const Session&) = delete;
 
     const Options& options() const { return options_; }
-    TaskPool& pool() { return *pool_; }
+
+    /**
+     * Run-level jobs for a batch whose systems each shard onto @p team
+     * host threads (RunnerTeam, or the largest team of a mixed batch):
+     * --jobs divided by the team, at least 1.  The largest value handed
+     * out is what the wall-clock line and JSON "env.jobs" report.
+     */
+    unsigned BatchJobs(unsigned team);
 
     /** Records one shared run's metrics under @p section. */
     void RecordRun(const std::string& section, const SharedRun& run);
@@ -140,7 +153,7 @@ class Session {
 
     Options options_;
     std::string binary_;
-    std::unique_ptr<TaskPool> pool_;
+    unsigned jobs_used_ = 1;
     std::chrono::steady_clock::time_point start_;
     json::Value sections_ = json::Value::Array();
     json::Value engine_run_ = json::Value::Array();
@@ -160,9 +173,9 @@ struct RunTask {
 };
 
 /**
- * Runs every task on the session's pool and returns the results in
- * submission order.  Each task is an independent simulation; results are
- * bit-identical for any --jobs value.
+ * Runs every task in parallel (Session::BatchJobs) and returns the
+ * results in submission order.  Each task is an independent simulation;
+ * results are bit-identical for any --jobs value.
  */
 std::vector<SharedRun> RunTasks(Session& session, ExperimentRunner& runner,
                                 const std::vector<RunTask>& tasks);

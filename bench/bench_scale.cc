@@ -14,6 +14,7 @@
  * number of core-cycles.
  */
 
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
@@ -73,9 +74,9 @@ struct ScaleRun {
     json::Value engine_env;
 };
 
-ScaleRun
-RunPoint(const ScalePoint& point, const SchedulerConfig& scheduler,
-         const bench::Options& options, CpuCycle cycles)
+SystemConfig
+PointConfig(const ScalePoint& point, const SchedulerConfig& scheduler,
+            const bench::Options& options)
 {
     SystemConfig config =
         SystemConfig::Baseline(point.cores, point.channels);
@@ -98,6 +99,14 @@ RunPoint(const ScalePoint& point, const SchedulerConfig& scheduler,
         config.controller.verify_indexed_selection = true;
         config.controller.verify_sample_period = point.cores > 32 ? 61 : 1;
     }
+    return config;
+}
+
+ScaleRun
+RunPoint(const ScalePoint& point, const SchedulerConfig& scheduler,
+         const bench::Options& options, CpuCycle cycles)
+{
+    const SystemConfig config = PointConfig(point, scheduler, options);
     System system(config, MakeTraces(config, options.seed));
     system.Run(cycles);
 
@@ -148,9 +157,17 @@ main(int argc, char** argv)
     // a 64-core run's cycles, so every matrix cell costs about the same.
     const CpuCycle core_cycle_budget = options.cycles * 4;
 
+    // The batch mixes channel counts; size it for its largest team.
+    unsigned team = 1;
+    for (const ScalePoint& point : points) {
+        const SystemConfig config =
+            PointConfig(point, lineup.front(), options);
+        team = std::max(team, ResolveChannelJobs(config.channel_jobs,
+                                                 config.geometry.channels));
+    }
     std::vector<ScaleRun> results(points.size() * lineup.size());
-    session.pool().ParallelFor(
-        results.size(), [&](std::size_t index) {
+    ParallelFor(
+        session.BatchJobs(team), results.size(), [&](std::size_t index) {
             const ScalePoint& point = points[index / lineup.size()];
             const SchedulerConfig& scheduler =
                 lineup[index % lineup.size()];

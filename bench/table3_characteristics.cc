@@ -22,7 +22,8 @@ main(int argc, char** argv)
     // Warm the alone-baseline cache in parallel; the print loop below then
     // reads fully-computed entries in profile order.
     const auto profiles = SpecProfiles();
-    session.pool().ParallelFor(profiles.size(), [&](std::size_t index) {
+    const unsigned jobs = session.BatchJobs(bench::RunnerTeam(runner));
+    ParallelFor(jobs, profiles.size(), [&](std::size_t index) {
         runner.AloneBaseline(std::string(profiles[index].name));
     });
 

@@ -18,10 +18,9 @@ ChannelTeam::ChannelTeam(unsigned participants, WorkFn work,
                          obs::EngineProfiler* profiler)
     : participants_(participants),
       work_(std::move(work)),
-      profiler_(profiler),
-      errors_(participants)
+      profiler_(profiler)
 {
-    PARBS_ASSERT(participants_ >= 1, "team needs at least one participant");
+    PARBS_ASSERT(participants_ >= 2, "team needs at least two participants");
     PARBS_ASSERT(work_ != nullptr, "team needs a work function");
     threads_.reserve(participants_ - 1);
     for (unsigned p = 1; p < participants_; ++p) {
@@ -44,10 +43,6 @@ ChannelTeam::~ChannelTeam()
 void
 ChannelTeam::RunWindow()
 {
-    if (participants_ == 1) {
-        work_(0);
-        return;
-    }
     done_count_.store(0, std::memory_order_relaxed);
     {
         // The bump happens under the mutex so a worker that just checked
@@ -57,16 +52,10 @@ ChannelTeam::RunWindow()
     }
     wake_.notify_all();
 
-    std::exception_ptr own;
-    try {
-        work_(0);
-    } catch (...) {
-        own = std::current_exception();
-    }
+    work_(0);
 
-    // Join: even on an exception, every worker must finish its share
-    // before control returns — the System merges or unwinds only once no
-    // thread is touching shard state.
+    // Join: every worker must finish its share before control returns —
+    // the System merges only once no thread is touching shard state.
     const std::uint64_t join_start =
         profiler_ != nullptr ? obs::EngineProfiler::Now() : 0;
     int spins = 0;
@@ -79,17 +68,6 @@ ChannelTeam::RunWindow()
     if (profiler_ != nullptr) {
         profiler_->AddPhaseTicks(0, obs::EngineProfiler::Phase::kBarrierJoin,
                                  obs::EngineProfiler::Now() - join_start);
-    }
-
-    if (own) {
-        std::rethrow_exception(own);
-    }
-    for (std::exception_ptr& error : errors_) {
-        if (error) {
-            std::exception_ptr first = error;
-            error = nullptr;
-            std::rethrow_exception(first);
-        }
     }
 }
 
@@ -132,11 +110,7 @@ ChannelTeam::WorkerLoop(unsigned participant)
                 participant, obs::EngineProfiler::Phase::kWorkerPark,
                 obs::EngineProfiler::Now() - park_start);
         }
-        try {
-            work_(participant);
-        } catch (...) {
-            errors_[participant] = std::current_exception();
-        }
+        work_(participant);
         done_count_.fetch_add(1, std::memory_order_acq_rel);
     }
 }

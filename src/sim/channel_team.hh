@@ -5,12 +5,13 @@
  * The sharded System alternates a serial core phase with a parallel
  * controller catch-up phase tens of thousands of times per run, and each
  * parallel phase is only a few microseconds of work per worker — far too
- * fine-grained for the TaskPool's mutex-and-condvar batches.  The team
- * instead keeps its workers alive across windows and synchronizes each
- * window with two atomics: a generation counter that releases the workers
- * and a done counter the coordinator joins on.  Workers spin briefly, then
- * yield, then fall back to a condition variable, so an oversubscribed or
- * idle team never burns a core between windows.
+ * fine-grained for the run-level ParallelFor, which starts threads per
+ * call (src/sim/runner.hh).  The team instead keeps its workers alive
+ * across windows and synchronizes each window with two atomics: a
+ * generation counter that releases the workers and a done counter the
+ * coordinator joins on.  Workers spin briefly, then yield, then fall back
+ * to a condition variable, so an oversubscribed or idle team never burns
+ * a core between windows.
  *
  * The coordinator is participant 0 and runs its share of the work inline
  * inside RunWindow, so a team of N participants spawns N - 1 threads.
@@ -22,7 +23,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -36,12 +36,15 @@ class EngineProfiler;
 
 class ChannelTeam {
   public:
-    /** Window body; called once per participant per RunWindow. */
+    /** Window body; called once per participant per RunWindow.  It must
+     *  not throw (System::RunParticipant keeps each channel's error in its
+     *  shard); a throw on a worker thread terminates. */
     using WorkFn = std::function<void(unsigned participant)>;
 
     /**
      * @param participants total participants including the coordinator
-     *        (>= 1); participants - 1 worker threads are spawned.
+     *        (>= 2; a one-channel-worker System never builds a team);
+     *        participants - 1 worker threads are spawned.
      * @param work the window body.  It must partition its effects by
      *        participant index; the team imposes no other structure.
      * @param profiler optional engine flight recorder.  When set, the team
@@ -67,11 +70,7 @@ class ChannelTeam {
 
     /**
      * Runs work(p) for every participant and returns once all are done.
-     * The caller executes participant 0's share inline.  If the work
-     * itself throws (it should not — the System catches per-channel
-     * errors itself), the coordinator's exception wins, then the lowest
-     * participant's; either way every participant has finished before the
-     * rethrow, so no worker is left touching shared state.
+     * The caller executes participant 0's share inline.
      */
     void RunWindow();
 
@@ -93,9 +92,6 @@ class ChannelTeam {
      *  cannot miss it. */
     std::mutex mutex_;
     std::condition_variable wake_;
-
-    /** Per-participant error slots; written before done_count_ releases. */
-    std::vector<std::exception_ptr> errors_;
 
     std::vector<std::thread> threads_;
 };

@@ -86,7 +86,7 @@ struct AggregateMetrics {
 
 /**
  * Thread-safe memoization of alone-run baselines, shared between runner
- * copies and across the TaskPool's workers.  The first caller for a
+ * copies and across ParallelFor's threads.  The first caller for a
  * benchmark computes it (outside the lock); concurrent callers for the
  * same benchmark block until the value is ready.  The measurement is a
  * pure function of (config, benchmark), so which thread computes it never

@@ -1,6 +1,11 @@
 #include "sim/runner.hh"
 
-#include "common/assert.hh"
+#include <algorithm>
+#include <atomic>
+#include <exception>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 namespace parbs {
 
@@ -11,189 +16,52 @@ HardwareJobs()
     return n == 0 ? 1 : n;
 }
 
-TaskPool::TaskPool(unsigned jobs) : jobs_(jobs == 0 ? HardwareJobs() : jobs)
+unsigned
+ResolveChannelJobs(unsigned requested, std::uint32_t channels)
 {
-    if (jobs_ == 1) {
-        return; // Inline mode: no queues, no threads.
-    }
-    queues_.reserve(jobs_);
-    for (unsigned i = 0; i < jobs_; ++i) {
-        queues_.push_back(std::make_unique<WorkerQueue>());
-    }
-    workers_.reserve(jobs_);
-    for (unsigned i = 0; i < jobs_; ++i) {
-        workers_.emplace_back([this, i] { WorkerLoop(i); });
-    }
-}
-
-TaskPool::~TaskPool()
-{
-    if (workers_.empty()) {
-        return;
-    }
-    {
-        std::lock_guard<std::mutex> lock(batch_mutex_);
-        shutdown_ = true;
-    }
-    work_ready_.notify_all();
-    for (std::thread& worker : workers_) {
-        worker.join();
-    }
+    const unsigned jobs =
+        requested == 0 ? std::min<unsigned>(channels, HardwareJobs())
+                       : requested;
+    return std::max(1u, std::min<unsigned>(jobs, channels));
 }
 
 void
-TaskPool::RunAll(std::vector<std::function<void()>> tasks)
+ParallelFor(unsigned jobs, std::size_t n,
+            const std::function<void(std::size_t)>& fn)
 {
-    if (tasks.empty()) {
-        return;
-    }
-    if (jobs_ == 1) {
-        // Serial reference semantics: run in submission order, report the
-        // first failure after the batch completes (same contract as the
-        // parallel path).
-        std::exception_ptr error;
-        for (auto& task : tasks) {
+    std::atomic<std::size_t> cursor{0};
+    std::mutex error_mutex;
+    std::size_t error_index = n;
+    std::exception_ptr error;
+
+    auto drain = [&] {
+        for (std::size_t i = cursor.fetch_add(1); i < n;
+             i = cursor.fetch_add(1)) {
             try {
-                task();
+                fn(i);
             } catch (...) {
-                if (!error) {
+                std::lock_guard<std::mutex> lock(error_mutex);
+                if (i < error_index) {
+                    error_index = i;
                     error = std::current_exception();
                 }
             }
         }
-        if (error) {
-            std::rethrow_exception(error);
-        }
-        return;
-    }
+    };
 
-    // Ordering matters for the handoff to possibly-still-scanning workers:
-    // (1) arm the completion count, (2) publish the tasks, (3) bump the
-    // batch generation and wake sleepers.  A worker that grabs a task
-    // during (2) already sees the armed count; a worker that found nothing
-    // before (2) blocks until the generation moves in (3).
-    {
-        std::lock_guard<std::mutex> lock(batch_mutex_);
-        PARBS_ASSERT(tasks_remaining_ == 0,
-                     "TaskPool::RunAll is not reentrant");
-        tasks_remaining_ = tasks.size();
-        first_error_ = nullptr;
+    std::vector<std::thread> threads;
+    const std::size_t helpers =
+        std::max<std::size_t>(std::min<std::size_t>(jobs, n), 1) - 1;
+    threads.reserve(helpers);
+    for (std::size_t t = 0; t < helpers; ++t) {
+        threads.emplace_back(drain);
     }
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-        WorkerQueue& queue = *queues_[i % jobs_];
-        std::lock_guard<std::mutex> lock(queue.mutex);
-        queue.tasks.push_back(std::move(tasks[i]));
+    drain();
+    for (std::thread& thread : threads) {
+        thread.join();
     }
-    {
-        std::lock_guard<std::mutex> lock(batch_mutex_);
-        batch_generation_ += 1;
-    }
-    work_ready_.notify_all();
-
-    std::unique_lock<std::mutex> lock(batch_mutex_);
-    batch_done_.wait(lock, [this] { return tasks_remaining_ == 0; });
-    if (first_error_) {
-        std::exception_ptr error = first_error_;
-        first_error_ = nullptr;
+    if (error) {
         std::rethrow_exception(error);
-    }
-}
-
-void
-TaskPool::ParallelFor(std::size_t n,
-                      const std::function<void(std::size_t)>& fn)
-{
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        tasks.push_back([&fn, i] { fn(i); });
-    }
-    RunAll(std::move(tasks));
-}
-
-std::uint64_t
-TaskPool::steal_count() const
-{
-    std::lock_guard<std::mutex> lock(batch_mutex_);
-    return steals_;
-}
-
-std::function<void()>
-TaskPool::TakeTask(unsigned worker)
-{
-    // Own deque first, newest task first: the most recently pushed work is
-    // the most cache-warm and keeps the deque's front available to thieves.
-    {
-        WorkerQueue& own = *queues_[worker];
-        std::lock_guard<std::mutex> lock(own.mutex);
-        if (!own.tasks.empty()) {
-            std::function<void()> task = std::move(own.tasks.back());
-            own.tasks.pop_back();
-            return task;
-        }
-    }
-    // Steal oldest-first from the other workers, scanning from the next
-    // worker round-robin so thieves spread across victims.
-    for (unsigned offset = 1; offset < jobs_; ++offset) {
-        WorkerQueue& victim = *queues_[(worker + offset) % jobs_];
-        std::lock_guard<std::mutex> lock(victim.mutex);
-        if (!victim.tasks.empty()) {
-            std::function<void()> task = std::move(victim.tasks.front());
-            victim.tasks.pop_front();
-            {
-                std::lock_guard<std::mutex> count_lock(batch_mutex_);
-                steals_ += 1;
-            }
-            return task;
-        }
-    }
-    return nullptr;
-}
-
-void
-TaskPool::FinishTask()
-{
-    bool last = false;
-    {
-        std::lock_guard<std::mutex> lock(batch_mutex_);
-        PARBS_ASSERT(tasks_remaining_ > 0, "task accounting underflow");
-        tasks_remaining_ -= 1;
-        last = tasks_remaining_ == 0;
-    }
-    if (last) {
-        batch_done_.notify_all();
-    }
-}
-
-void
-TaskPool::WorkerLoop(unsigned worker)
-{
-    std::uint64_t seen_generation = 0;
-    while (true) {
-        std::function<void()> task = TakeTask(worker);
-        if (!task) {
-            std::unique_lock<std::mutex> lock(batch_mutex_);
-            if (shutdown_) {
-                return;
-            }
-            work_ready_.wait(lock, [this, seen_generation] {
-                return shutdown_ || batch_generation_ != seen_generation;
-            });
-            if (shutdown_) {
-                return;
-            }
-            seen_generation = batch_generation_;
-            continue; // Re-scan the deques under the new generation.
-        }
-        try {
-            task();
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(batch_mutex_);
-            if (!first_error_) {
-                first_error_ = std::current_exception();
-            }
-        }
-        FinishTask();
     }
 }
 

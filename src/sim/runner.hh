@@ -1,32 +1,26 @@
 /**
  * @file
- * The parallel experiment runner: a work-stealing thread pool that runs
- * independent simulation jobs concurrently while keeping results bit-
- * identical to serial execution.
+ * The parallel experiment runner: runs independent simulation jobs
+ * concurrently while keeping results bit-identical to serial execution,
+ * and decides how many host threads each run's sharded engine gets.
  *
  * Determinism contract (see DESIGN.md "Parallel runner"):
  *  - Every job is a self-contained simulation whose randomness derives
  *    only from the experiment seed and the job's own identity (workload
  *    name, slot, benchmark) — never from thread identity, scheduling
  *    order, or wall-clock time.
- *  - Results are written into a pre-sized vector at the job's submission
- *    index, so the output order is the submission order regardless of
- *    completion order.
- *  - With jobs == 1 everything runs inline on the caller thread; the
+ *  - Results are written into a pre-sized vector at the job's index, so
+ *    the output order is the index order regardless of completion order.
+ *  - With jobs <= 1 everything runs inline on the caller thread; the
  *    parallel path differs only in which thread executes a job.
  */
 
 #ifndef PARBS_SIM_RUNNER_HH
 #define PARBS_SIM_RUNNER_HH
 
-#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace parbs {
 
@@ -34,69 +28,26 @@ namespace parbs {
 unsigned HardwareJobs();
 
 /**
- * A work-stealing thread pool executing batches of independent tasks.
- *
- * Tasks submitted by RunAll are distributed round-robin across per-worker
- * deques; each worker services its own deque LIFO and steals FIFO from the
- * other workers when it runs dry, so large imbalances (one long simulation
- * among many short ones) rebalance automatically.  With jobs == 1, RunAll
- * executes every task inline on the calling thread and no worker threads
- * are ever created.
+ * Host threads a system with @p channels channels shards onto for
+ * SystemConfig::channel_jobs = @p requested: 0 means one per channel but
+ * never more than HardwareJobs() (an oversubscribed team spins against
+ * itself), and any request is clamped to [1, channels] (more workers than
+ * channels would have nothing to do).  The System constructor and the
+ * bench harness's --jobs/--channel-jobs composition both use this rule.
  */
-class TaskPool {
-  public:
-    /** @param jobs worker count; 0 means HardwareJobs(). */
-    explicit TaskPool(unsigned jobs);
-    ~TaskPool();
+unsigned ResolveChannelJobs(unsigned requested, std::uint32_t channels);
 
-    TaskPool(const TaskPool&) = delete;
-    TaskPool& operator=(const TaskPool&) = delete;
-
-    unsigned jobs() const { return jobs_; }
-
-    /**
-     * Runs every task to completion (blocking).  If any task throws, the
-     * first exception (in submission order among the failed tasks observed)
-     * is rethrown after all tasks have finished; the remaining tasks still
-     * run.  Not reentrant: RunAll must not be called from inside a task.
-     */
-    void RunAll(std::vector<std::function<void()>> tasks);
-
-    /**
-     * Convenience: runs fn(0) ... fn(n - 1) via RunAll.  The index is the
-     * submission index — use it to write results into a pre-sized vector
-     * so output order is deterministic.
-     */
-    void ParallelFor(std::size_t n,
-                     const std::function<void(std::size_t)>& fn);
-
-    /** Tasks stolen from another worker's deque (for tests/diagnostics). */
-    std::uint64_t steal_count() const;
-
-  private:
-    struct WorkerQueue {
-        std::mutex mutex;
-        std::deque<std::function<void()>> tasks;
-    };
-
-    unsigned jobs_;
-    std::vector<std::unique_ptr<WorkerQueue>> queues_;
-    std::vector<std::thread> workers_;
-
-    mutable std::mutex batch_mutex_;
-    std::condition_variable work_ready_;
-    std::condition_variable batch_done_;
-    std::size_t tasks_remaining_ = 0;
-    std::uint64_t batch_generation_ = 0;
-    bool shutdown_ = false;
-    std::exception_ptr first_error_;
-    std::uint64_t steals_ = 0;
-
-    void WorkerLoop(unsigned worker);
-    /** Pops one task for @p worker (own deque LIFO, then steal FIFO). */
-    std::function<void()> TakeTask(unsigned worker);
-    void FinishTask();
-};
+/**
+ * Runs fn(0) ... fn(n - 1), each exactly once, on @p jobs threads.
+ *
+ * jobs <= 1 runs them inline on the caller, in index order.  Otherwise
+ * the caller and jobs - 1 threads started for this call take indices from
+ * one shared cursor until it runs out; the threads are joined before
+ * return.  Every task runs even if some throw; afterwards the exception of
+ * the lowest failing index is rethrown.
+ */
+void ParallelFor(unsigned jobs, std::size_t n,
+                 const std::function<void(std::size_t)>& fn);
 
 } // namespace parbs
 

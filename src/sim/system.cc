@@ -146,18 +146,13 @@ System::System(const SystemConfig& config,
     idle_since_.assign(cores_.size(), 0);
     queue_waiters_.assign(2 * controllers_.size() * words, 0);
 
-    // Resolve the sharded engine (DESIGN.md §5g).  channel_jobs == 0 means
-    // one worker per channel, but never more workers than hardware threads
-    // (an oversubscribed team spins against itself); anything above the
-    // channel count is wasted.
+    // Resolve the sharded engine (DESIGN.md §5g) by the one host-thread
+    // rule the bench harness also sizes its batches with.
     const auto channels =
         static_cast<std::uint32_t>(controllers_.size());
-    const unsigned requested = config_.channel_jobs == 0
-                                   ? std::min(channels, HardwareJobs())
-                                   : config_.channel_jobs;
-    shard_jobs_ = std::max(1u, std::min<unsigned>(requested, channels));
+    shard_jobs_ = ResolveChannelJobs(config_.channel_jobs, channels);
     window_ = LookaheadWindow();
-    sharded_ = shard_jobs_ > 1 && channels > 1 && window_ >= 1;
+    sharded_ = shard_jobs_ > 1 && window_ >= 1;
     if (!sharded_) {
         shard_jobs_ = 1;
     }

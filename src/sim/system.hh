@@ -428,7 +428,8 @@ class System : public MemoryPort {
     void RunSerial(CpuCycle end);
     void RunSharded(CpuCycle end);
 
-    /** Worker body: advances this participant's channels. */
+    /** Worker body: advances this participant's channels.  Never throws:
+     *  a channel's error is kept in its shard for MergeWindow. */
     void RunParticipant(unsigned participant);
     void AdvanceChannel(std::uint32_t channel);
 

@@ -266,9 +266,8 @@ TEST(Observability, TraceBytesIdenticalAcrossJobCounts)
     // The tracer inherits the runner determinism contract: running four
     // traced systems on one worker or four must produce the same bytes.
     auto produce = [](unsigned jobs) {
-        TaskPool pool(jobs);
         std::vector<std::string> traces(4);
-        pool.ParallelFor(4, [&traces](std::size_t index) {
+        ParallelFor(jobs, 4, [&traces](std::size_t index) {
             SystemConfig config = TracedConfig(SchedulerKind::kParBs);
             config.seed = 1 + index;
             System system(config, SyntheticTraces(config, 4));
