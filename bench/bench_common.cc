@@ -1,6 +1,8 @@
 #include "bench_common.hh"
 
 #include <algorithm>
+#include <charconv>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -24,6 +26,24 @@ BinaryName(const char* argv0)
 
 } // namespace
 
+std::uint64_t
+ParseUnsignedFlag(const std::string& flag, const char* text,
+                  std::uint64_t max)
+{
+    const char* last = text + std::strlen(text);
+    std::uint64_t value = 0;
+    const auto [ptr, ec] = std::from_chars(text, last, value, 10);
+    if (text == last || ec != std::errc{} || ptr != last || value > max) {
+        std::fprintf(stderr,
+                     "invalid value for %s: '%s' (expected an unsigned "
+                     "integer up to %llu)\n",
+                     flag.c_str(), text,
+                     static_cast<unsigned long long>(max));
+        std::exit(2);
+    }
+    return value;
+}
+
 Options
 ParseOptions(int argc, char** argv)
 {
@@ -36,19 +56,19 @@ ParseOptions(int argc, char** argv)
         } else if (arg == "--full") {
             options.full = true;
         } else if (arg == "--cycles" && i + 1 < argc) {
-            options.cycles = std::strtoull(argv[++i], nullptr, 10);
+            options.cycles = ParseUnsignedFlag(arg, argv[++i]);
         } else if (arg == "--seed" && i + 1 < argc) {
-            options.seed = std::strtoull(argv[++i], nullptr, 10);
+            options.seed = ParseUnsignedFlag(arg, argv[++i]);
         } else if (arg == "--jobs" && i + 1 < argc) {
             options.jobs = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
+                ParseUnsignedFlag(arg, argv[++i], UINT_MAX));
             if (options.jobs == 0) {
                 options.jobs = HardwareJobs();
             }
         } else if (arg == "--channel-jobs" && i + 1 < argc) {
             // 0 stays 0: "one worker per channel", resolved per system.
             options.channel_jobs = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
+                ParseUnsignedFlag(arg, argv[++i], UINT_MAX));
         } else if (arg == "--engine") {
             options.engine = true;
         } else if (arg == "--json" && i + 1 < argc) {

@@ -81,6 +81,15 @@ struct Options {
 /** Parses the common CLI; exits with a usage message on errors. */
 Options ParseOptions(int argc, char** argv);
 
+/**
+ * Parses @p text, the value given for @p flag, as an unsigned decimal
+ * integer no larger than @p max.  Empty input, signs, trailing characters
+ * and overflow exit 2 with a message naming the flag, like an unknown
+ * flag does.
+ */
+std::uint64_t ParseUnsignedFlag(const std::string& flag, const char* text,
+                                std::uint64_t max = UINT64_MAX);
+
 /** An experiment runner configured from @p options. */
 ExperimentRunner MakeRunner(const Options& options, std::uint32_t cores);
 

@@ -15,7 +15,6 @@
  */
 
 #include <algorithm>
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <vector>
@@ -84,20 +83,12 @@ PointConfig(const ScalePoint& point, const SchedulerConfig& scheduler,
     config.seed = options.seed;
     config.channel_jobs = options.channel_jobs;
     config.observability.engine_profile = options.engine;
-    // Same PARBS_CHECK contract as the ExperimentRunner binaries (see
-    // ExperimentConfig::MakeSystemConfig): serial reference loop plus the
-    // shadow protocol / fast-path / core-skip / selection checkers — and
-    // this is the one suite that actually exercises the sampled selection
+    // Same PARBS_CHECK contract as the ExperimentRunner binaries; this is
+    // the one suite that actually exercises the sampled selection
     // cross-check, since every ExperimentRunner figure stays at <= 16
     // cores.
-    const char* check = std::getenv("PARBS_CHECK");
-    if (check != nullptr && check[0] != '\0' && check[0] != '0') {
-        config.channel_jobs = 1;
-        config.controller.protocol_check = true;
-        config.controller.verify_fast_path = true;
-        config.verify_core_fast_path = true;
-        config.controller.verify_indexed_selection = true;
-        config.controller.verify_sample_period = point.cores > 32 ? 61 : 1;
+    if (ChecksRequested()) {
+        config.EnableChecks();
     }
     return config;
 }

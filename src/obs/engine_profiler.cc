@@ -194,9 +194,7 @@ EngineProfiler::OnWindowClose(DramCycle from, DramCycle to,
         occupancy_total += occupancy[channel];
     }
 
-    if (wall_open_ == kNoWall) {
-        return; // Serial engine: deterministic accounting only.
-    }
+    PARBS_ASSERT(wall_open_ != kNoWall, "window close with no wall start");
     const bool keep = records_.size() < kMaxWindowRecords;
     if (keep) {
         WindowRecord record;
@@ -366,9 +364,9 @@ EngineProfiler::AppendToTraceDocument(json::Value& document) const
     events->Append(
         MetadataEvent("thread_name", kEnginePid, kWindowLane, "windows"));
 
-    // Whole-run summary span: present even when the serial engine recorded
-    // no per-window wall times, so an engine-profiled trace always carries
-    // at least one "engine" event for validators to find.
+    // Whole-run summary span: present even when no window closed (or every
+    // record was dropped), so an engine-profiled trace always carries at
+    // least one "engine" event for validators to find.
     {
         json::Value summary = MakeEvent("X", "engine", "engine", kEnginePid,
                                         kWindowLane, 0.0);

@@ -12,14 +12,15 @@
  *   channel arrivals and per-window arrival imbalance, queue occupancy
  *   sampled at window closes — are pure functions of the simulated
  *   schedule and must stay byte-identical across `--jobs` and
- *   `--channel-jobs` (the serial engine replicates the sharded engine's
- *   window accounting so both report the same numbers).
+ *   `--channel-jobs` (both engines close the same windows in one loop,
+ *   System::Run, so both report the same numbers).
  *   They export under the bench JSON `run` subtree.
  *
  * - **Volatile wall-clock timings** — per-participant ticks in each phase
  *   (core sweep, channel work, barrier and park waits, publish, merge)
  *   via a TSC-style clock sampled only at
- *   phase boundaries.  They export under `env`, and per-window records
+ *   phase boundaries.  The serial engine reports its controller ticks
+ *   and sampling as participant 0's channel work.  They export under `env`, and per-window records
  *   feed Chrome trace lanes on a synthetic "engine" process.
  *
  * Thread-safety: each participant writes only its own cache-line-padded
@@ -80,7 +81,7 @@ class EngineProfiler {
     unsigned participants() const { return participants_; }
     DramCycle lookahead_window() const { return lookahead_window_; }
 
-    // --- volatile side (wall clock; sharded engine only) ------------------
+    // --- volatile side (wall clock; both engines) -------------------------
 
     /** Folds @p ticks into (participant, phase); called only by the thread
      *  owning @p participant's slot. */
@@ -109,8 +110,9 @@ class EngineProfiler {
      * folds the per-window arrival counts into the imbalance histogram,
      * samples @p occupancy (per-channel queued requests at the close,
      * identical between shard proxies and real queues at this point), and
-     * — when a wall window is open — snapshots the volatile slot scratch
-     * into a bounded per-window record for the trace lanes.
+     * snapshots the volatile slot scratch into a bounded per-window record
+     * for the trace lanes.
+     * @pre BeginWindowWall opened the window's wall clock.
      */
     void OnWindowClose(DramCycle from, DramCycle to,
                        std::span<const std::uint64_t> occupancy);

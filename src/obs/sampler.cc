@@ -128,20 +128,6 @@ IntervalSampler::AppendRow(DramCycle cycle, std::vector<ControllerSample> row)
     next_sample_ = cycle + interval_;
 }
 
-void
-IntervalSampler::TakeSample(
-    DramCycle now, const std::vector<std::unique_ptr<Controller>>& ctrls)
-{
-    PrepareChannels(ctrls);
-    Sample sample;
-    sample.cycle = now;
-    sample.controllers.reserve(ctrls.size());
-    for (std::size_t c = 0; c < ctrls.size(); ++c) {
-        sample.controllers.push_back(SampleChannel(*ctrls[c], c));
-    }
-    samples_.push_back(std::move(sample));
-}
-
 json::Value
 IntervalSampler::ToJson() const
 {

@@ -80,16 +80,6 @@ class IntervalSampler {
 
     DramCycle interval() const { return interval_; }
 
-    /** Called once per DRAM cycle; samples when the period elapses. */
-    void Tick(DramCycle now,
-              const std::vector<std::unique_ptr<Controller>>& controllers) {
-        if (interval_ == 0 || now != next_sample_) {
-            return;
-        }
-        TakeSample(now, controllers);
-        next_sample_ += interval_;
-    }
-
     const std::vector<Sample>& samples() const { return samples_; }
 
     /** The cycle the next row is due at (first row lands at `interval`). */
@@ -97,8 +87,8 @@ class IntervalSampler {
 
     /**
      * Pre-sizes the per-channel baselines so SampleChannel never has to
-     * allocate.  The sharded System calls this before its workers start;
-     * the serial path reaches the same state lazily on the first sample.
+     * allocate.  System::Run calls this at the start of every run, before
+     * any worker starts; repeated calls keep the baselines.
      */
     void PrepareChannels(
         const std::vector<std::unique_ptr<Controller>>& controllers);
@@ -108,15 +98,15 @@ class IntervalSampler {
      * only @p controller's counters and writes only baselines_[channel],
      * so concurrent calls for *distinct* channels are safe once
      * PrepareChannels has run — the decomposition the sharded System's
-     * window-aligned aggregation relies on.  Row assembly (AppendRow)
-     * stays on the coordinating thread.
+     * window-aligned aggregation relies on.  Both engines sample through
+     * here; row assembly (AppendRow) stays on the coordinating thread.
      */
     ControllerSample SampleChannel(const Controller& controller,
                                    std::size_t channel);
 
     /**
      * Appends one fully-assembled row (channel order) taken at @p cycle
-     * and schedules the next sample, exactly as Tick would have.
+     * and schedules the next sample one interval later.
      * @pre cycle == next_sample().
      */
     void AppendRow(DramCycle cycle, std::vector<ControllerSample> row);
@@ -140,9 +130,6 @@ class IntervalSampler {
         std::uint64_t scrub_reads = 0;
         std::uint64_t rows_retired = 0;
     };
-
-    void TakeSample(DramCycle now,
-                    const std::vector<std::unique_ptr<Controller>>& ctrls);
 
     DramCycle interval_;
     DramCycle next_sample_;

@@ -1,5 +1,7 @@
 #include "sim/config.hh"
 
+#include <cstdlib>
+
 #include "common/assert.hh"
 
 namespace parbs {
@@ -18,6 +20,40 @@ SystemConfig::Validate() const
     controller.Validate();
     core.Validate();
     observability.Validate();
+}
+
+void
+SystemConfig::EnableChecks()
+{
+    // Validation runs stay on the serial engine: it is the reference the
+    // sharded engine is verified against, and the checker's value is in
+    // re-deriving, not re-parallelizing, the command stream.
+    channel_jobs = 1;
+    // Every DRAM command re-validated against the shadow protocol model.
+    controller.protocol_check = true;
+    // The skip-ahead analogue of the protocol check: every skipped cycle
+    // is re-scanned to prove no ready command was skippable.
+    controller.verify_fast_path = true;
+    // And its core-side twin: every core ticks every cycle, proving each
+    // cycle the event-driven sweep skipped changed nothing.
+    verify_core_fast_path = true;
+    // And the selection analogue: every pick made by the indexed per-bank
+    // path is cross-checked against the full-scan path.
+    controller.verify_indexed_selection = true;
+    // Above 32 cores the double selection dominates validation wall-clock,
+    // so sample every 61st decision there (61 is prime, so the sample
+    // never locks onto a periodic scheduler pattern).  Sound: a divergence
+    // is a deterministic function of controller state and persists once
+    // it appears, so sampling delays detection by a bounded number of
+    // decisions but cannot miss a diverged run.
+    controller.verify_sample_period = num_cores > 32 ? 61 : 1;
+}
+
+bool
+ChecksRequested()
+{
+    const char* check = std::getenv("PARBS_CHECK");
+    return check != nullptr && check[0] != '\0' && check[0] != '0';
 }
 
 SystemConfig

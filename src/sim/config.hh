@@ -49,12 +49,15 @@ struct SystemConfig {
     /**
      * Intra-run parallelism: worker threads advancing the memory
      * controllers inside one System::Run (DESIGN.md §5g).  1 keeps the
-     * serial cycle loop; 0 means one worker per channel, clamped to the
-     * hardware threads; values above the channel count are clamped.
-     * Results are bit-identical for every value — sharding changes only
-     * which thread executes a controller's ticks, never their order or
-     * inputs — so this is purely a wall-clock knob.  Single-channel
-     * systems always run serial.
+     * serial engine, which ticks the controllers in lockstep with the
+     * cores; above 1 the sharded engine ticks them on a worker team at
+     * each lookahead-window close.  Both walk the same window loop.
+     * 0 means one worker per channel, clamped to the hardware threads;
+     * values above the channel count are clamped.  Results are
+     * bit-identical for every value — sharding changes only which thread
+     * executes a controller's ticks, never their order or inputs — so
+     * this is purely a wall-clock knob.  Single-channel systems always
+     * run serial.
      */
     unsigned channel_jobs = 1;
 
@@ -82,6 +85,16 @@ struct SystemConfig {
     void Validate() const;
 
     /**
+     * Turns this config into a model-validation run, what PARBS_CHECK=1
+     * asks for: the serial engine (channel_jobs = 1, the reference the
+     * sharded engine is verified against) with every cross-check on —
+     * the shadow protocol checker, the controller fast-path and
+     * indexed-selection re-checks and the core sweep re-check.  Above 32
+     * cores the selection check samples every 61st decision.
+     */
+    void EnableChecks();
+
+    /**
      * The paper's baseline for @p cores cores (4, 8, or 16): DDR2-800
      * timing, 8 banks, 2 KB rows, and cores/4 memory channels.  Beyond 64
      * cores the channel count saturates at the geometry maximum (16) and
@@ -98,6 +111,10 @@ struct SystemConfig {
      */
     static SystemConfig Baseline(std::uint32_t cores, std::uint32_t channels);
 };
+
+/** True when the PARBS_CHECK environment variable is set to a value that
+ *  does not start with '0'; callers then apply SystemConfig::EnableChecks. */
+bool ChecksRequested();
 
 } // namespace parbs
 

@@ -55,32 +55,11 @@ ExperimentConfig::MakeSystemConfig(const SchedulerConfig& scheduler) const
     system.scheduler = scheduler;
     system.seed = seed;
     system.channel_jobs = channel_jobs;
-    // PARBS_CHECK=1 re-validates every DRAM command of every experiment
-    // against the shadow protocol model (a model-validation run; a few
-    // percent slower, so opt-in from the environment).
-    const char* check = std::getenv("PARBS_CHECK");
-    if (check != nullptr && check[0] != '\0' && check[0] != '0') {
-        // Validation runs stay on the serial loop: it is the reference the
-        // sharded engine is verified against, and the checker's value is
-        // in re-deriving, not re-parallelizing, the command stream.
-        system.channel_jobs = 1;
-        system.controller.protocol_check = true;
-        // The skip-ahead analogue of the protocol check: every skipped
-        // cycle is re-scanned to prove no ready command was skippable.
-        system.controller.verify_fast_path = true;
-        // And its core-side twin: every core ticks every cycle, proving
-        // each cycle the event-driven sweep skipped changed nothing.
-        system.verify_core_fast_path = true;
-        // And the selection analogue: every pick made by the indexed
-        // per-bank path is cross-checked against the full-scan path.
-        system.controller.verify_indexed_selection = true;
-        // Above 32 cores the double selection dominates validation wall-
-        // clock, so sample every 61st decision there (61 is prime, so the
-        // sample never locks onto a periodic scheduler pattern).  Sound:
-        // a divergence is a deterministic function of controller state and
-        // persists once it appears, so sampling delays detection by a
-        // bounded number of decisions but cannot miss a diverged run.
-        system.controller.verify_sample_period = cores > 32 ? 61 : 1;
+    // PARBS_CHECK=1 re-validates every experiment against the reference
+    // models (a model-validation run; slower, so opt-in from the
+    // environment).
+    if (ChecksRequested()) {
+        system.EnableChecks();
     }
     if (!EffectiveTracePath().empty()) {
         system.observability.trace = true;

@@ -34,9 +34,10 @@ struct ExperimentConfig {
 
     /**
      * Worker threads advancing the memory controllers inside each run
-     * (SystemConfig::channel_jobs): 1 keeps the serial cycle loop, 0 means
+     * (SystemConfig::channel_jobs): 1 keeps the serial engine, 0 means
      * one worker per channel.  Bit-identical results either way; forced to
-     * 1 under PARBS_CHECK so the serial loop stays the cross-reference.
+     * 1 under PARBS_CHECK (SystemConfig::EnableChecks) so the serial
+     * engine stays the cross-reference.
      */
     unsigned channel_jobs = 1;
 

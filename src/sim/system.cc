@@ -57,7 +57,6 @@ System::System(const SystemConfig& config,
     }
     read_capacity_ = config_.controller.read_queue_capacity;
     write_capacity_ = config_.controller.write_queue_capacity;
-    sample_interval_ = config_.observability.sample_interval;
 
     // Per-channel geometry: each controller sees a single-channel slice.
     dram::Geometry channel_geometry = config_.geometry;
@@ -113,7 +112,10 @@ System::System(const SystemConfig& config,
         obs_ = std::make_unique<obs::Observability>(
             config_.observability, config_.num_cores,
             static_cast<std::uint32_t>(controllers_.size()));
-        sampler_ = &obs_->sampler();
+        // Interval 0 disables sampling: no sampler, no rows.
+        if (config_.observability.sample_interval > 0) {
+            sampler_ = &obs_->sampler();
+        }
         for (std::uint32_t channel = 0; channel < controllers_.size();
              ++channel) {
             controllers_[channel]->AttachObservability(
@@ -152,7 +154,7 @@ System::System(const SystemConfig& config,
         static_cast<std::uint32_t>(controllers_.size());
     shard_jobs_ = ResolveChannelJobs(config_.channel_jobs, channels);
     window_ = LookaheadWindow();
-    sharded_ = shard_jobs_ > 1 && window_ >= 1;
+    sharded_ = shard_jobs_ > 1;
     if (!sharded_) {
         shard_jobs_ = 1;
     }
@@ -212,84 +214,130 @@ void
 System::Run(CpuCycle cpu_cycles)
 {
     const CpuCycle end = cpu_cycle_ + cpu_cycles;
+    const CpuCycle ratio = config_.cpu_to_dram_ratio;
     // Sleeping cores' skipped cycles are charged when the run returns,
-    // also by an exception, so Core::stats() is exact between runs.
-    struct SettleGuard {
+    // also by an exception, so Core::stats() is exact between runs; the
+    // sharded engine's observability sinks are restored the same way.
+    struct RunGuard {
         System& system;
-        ~SettleGuard() { system.SettleCores(); }
+        ~RunGuard()
+        {
+            system.SettleCores();
+            if (system.sharded_) {
+                system.BindShardObservability(false);
+            }
+        }
     };
-    SettleGuard settle{*this};
+    RunGuard guard{*this};
+    next_tick_ = (cpu_cycle_ + ratio - 1) / ratio;
+    if (sampler_ != nullptr) {
+        sampler_->PrepareChannels(controllers_);
+    }
     if (sharded_) {
-        RunSharded(end);
-    } else {
-        RunSerial(end);
+        PrepareShardedRun();
+        BindShardObservability(true);
+    }
+
+    // Both engines walk the same lookahead windows (DESIGN.md §5g): sweep
+    // the cores to the horizon, then close the window at the first
+    // controller tick not yet executed.
+    bool drained = false;
+    while (cpu_cycle_ < end && !drained) {
+        std::uint64_t sweep_start = 0;
+        if (eng_ != nullptr) {
+            eng_->BeginWindowWall();
+            eng_->SetCurrentPhase(obs::EngineProfiler::Phase::kCoreSweep);
+            sweep_start = obs::EngineProfiler::Now();
+        }
+        // Wall ticks of the serial engine's controller ticks and samples.
+        std::uint64_t work_ticks = 0;
+        const CpuCycle core_end =
+            std::min<CpuCycle>(end, (next_tick_ + window_) * ratio);
+        while (cpu_cycle_ < core_end && !drained) {
+            if (cpu_cycle_ % ratio == 0) {
+                // The serial engine ticks its controllers in lockstep; the
+                // sharded engine replays their retires on the proxies from
+                // the published schedules, leaving the ticks to the window
+                // close.
+                if (sharded_) {
+                    ApplyScheduledRetires(DramNow());
+                } else if (eng_ != nullptr) {
+                    const std::uint64_t start = obs::EngineProfiler::Now();
+                    TickControllers(DramNow());
+                    work_ticks += obs::EngineProfiler::Now() - start;
+                } else {
+                    TickControllers(DramNow());
+                }
+                WakeQueueWaiters();
+            }
+            drained = RunCores(std::min(core_end, (DramNow() + 1) * ratio));
+        }
+        if (eng_ != nullptr) {
+            eng_->AddPhaseTicks(0, obs::EngineProfiler::Phase::kCoreSweep,
+                                obs::EngineProfiler::Now() - sweep_start -
+                                    work_ticks);
+        }
+        const DramCycle target = (cpu_cycle_ + ratio - 1) / ratio;
+        if (target > next_tick_) {
+            CloseWindow(target, work_ticks);
+        }
     }
 }
 
 void
-System::RunSerial(CpuCycle end)
+System::CloseWindow(DramCycle target, std::uint64_t work_ticks)
 {
-    const CpuCycle ratio = config_.cpu_to_dram_ratio;
-    // Replicate the sharded engine's window schedule so the deterministic
-    // engine counters are byte-identical across engines: the sharded loop
-    // closes a window whenever the cores reach the lookahead horizon, and
-    // at that point its controllers have executed exactly the ticks the
-    // serial loop has executed here (DESIGN.md §5h).
-    if (eng_ != nullptr) {
-        prof_next_tick_ = (cpu_cycle_ + ratio - 1) / ratio;
+    const DramCycle from = next_tick_;
+    if (sharded_) {
+        window_from_ = from;
+        window_to_ = target;
+        window_limit_ = target + window_;
+        if (eng_ != nullptr) {
+            eng_->SetCurrentPhase(obs::EngineProfiler::Phase::kChannelWork);
+        }
+        team_->RunWindow();
+    } else if (eng_ != nullptr) {
+        eng_->AddPhaseTicks(0, obs::EngineProfiler::Phase::kChannelWork,
+                            work_ticks);
     }
-    while (cpu_cycle_ < end) {
-        if (eng_ != nullptr &&
-            cpu_cycle_ == (prof_next_tick_ + window_) * ratio) {
-            ProfileSerialWindow();
-        }
-        if (cpu_cycle_ % ratio == 0) {
-            const DramCycle dram_now = DramNow();
-            for (auto& controller : controllers_) {
-                controller->Tick(dram_now);
-            }
-            if (sampler_ != nullptr) {
-                sampler_->Tick(dram_now, controllers_);
-            }
-            WakeQueueWaiters();
-        }
-        if (RunCores(std::min(end, (DramNow() + 1) * ratio))) {
-            break;
-        }
+    next_tick_ = target;
+    if (sharded_) {
+        MergeWindow();
     }
-    // Residual close: the sharded loop closes its last (short) window when
-    // the run ends or drains; mirror it so the window counts agree.
     if (eng_ != nullptr) {
-        ProfileSerialWindow();
+        // Every controller has executed exactly the ticks below target;
+        // the sharded engine's proxies were just verified equal to the
+        // real queues (MergeWindow).
+        for (std::uint32_t channel = 0; channel < controllers_.size();
+             ++channel) {
+            prof_occupancy_[channel] = QueuedInChannel(channel);
+        }
+        eng_->OnWindowClose(from, target, prof_occupancy_);
     }
 }
 
 void
-System::ProfileSerialWindow()
+System::TickControllers(DramCycle now)
 {
-    const CpuCycle ratio = config_.cpu_to_dram_ratio;
-    const DramCycle target = (cpu_cycle_ + ratio - 1) / ratio;
-    if (target <= prof_next_tick_) {
-        return;
+    for (auto& controller : controllers_) {
+        controller->Tick(now);
     }
-    for (std::uint32_t channel = 0; channel < controllers_.size();
-         ++channel) {
-        prof_occupancy_[channel] = controllers_[channel]->pending_reads() +
-                                   controllers_[channel]->pending_writes();
+    if (sampler_ != nullptr && now == sampler_->next_sample()) {
+        std::vector<obs::ControllerSample> row;
+        row.reserve(controllers_.size());
+        for (std::uint32_t channel = 0; channel < controllers_.size();
+             ++channel) {
+            row.push_back(
+                sampler_->SampleChannel(*controllers_[channel], channel));
+        }
+        sampler_->AppendRow(now, std::move(row));
     }
-    eng_->OnWindowClose(prof_next_tick_, target, prof_occupancy_);
-    prof_next_tick_ = target;
 }
 
 void
 System::PrepareShardedRun()
 {
-    const CpuCycle ratio = config_.cpu_to_dram_ratio;
-    next_tick_ = (cpu_cycle_ + ratio - 1) / ratio;
     arrival_seq_ = 0;
-    if (sampler_ != nullptr && sample_interval_ > 0) {
-        sampler_->PrepareChannels(controllers_);
-    }
     for (std::uint32_t channel = 0; channel < shards_.size(); ++channel) {
         ChannelShard& shard = *shards_[channel];
         const Controller& controller = *controllers_[channel];
@@ -303,9 +351,8 @@ System::PrepareShardedRun()
         shard.write_pos = 0;
         controller.PendingRetires(next_tick_ + window_, shard.read_retires,
                                   shard.write_retires);
-        shard.next_sample = sampler_ != nullptr && sample_interval_ > 0
-                                ? sampler_->next_sample()
-                                : kNeverCycle;
+        shard.next_sample =
+            sampler_ != nullptr ? sampler_->next_sample() : kNeverCycle;
         shard.runs.clear();
         shard.staged_mark = 0;
         shard.samples.clear();
@@ -331,78 +378,6 @@ System::BindShardObservability(bool staging)
         controllers_[channel]->AttachObservability(
             tracer, latency, static_cast<std::uint8_t>(channel));
         obs_->adapter(channel).SetTracer(tracer);
-    }
-}
-
-void
-System::RunSharded(CpuCycle end)
-{
-    const CpuCycle ratio = config_.cpu_to_dram_ratio;
-    PrepareShardedRun();
-
-    // Rebind the observability sinks to the per-channel staging buffers for
-    // the duration of the run — restored even if a watchdog error unwinds.
-    struct BindGuard {
-        System& system;
-        ~BindGuard() { system.BindShardObservability(false); }
-    };
-    BindShardObservability(true);
-    BindGuard guard{*this};
-
-    bool all_done = false;
-    while (cpu_cycle_ < end && !all_done) {
-        if (eng_ != nullptr) {
-            eng_->BeginWindowWall();
-        }
-        // --- core phase ------------------------------------------------
-        // Runs the cores up to the lookahead horizon, replaying queue
-        // departures from the published retire/notification schedules so
-        // backpressure and read returns are bit-exact without touching
-        // the controllers.
-        const CpuCycle core_end =
-            std::min<CpuCycle>(end, (next_tick_ + window_) * ratio);
-        const std::uint64_t sweep_start =
-            eng_ != nullptr ? obs::EngineProfiler::Now() : 0;
-        if (eng_ != nullptr) {
-            eng_->SetCurrentPhase(obs::EngineProfiler::Phase::kCoreSweep);
-        }
-        while (cpu_cycle_ < core_end && !all_done) {
-            if (cpu_cycle_ % ratio == 0) {
-                ApplyScheduledRetires(DramNow());
-                WakeQueueWaiters();
-            }
-            all_done = RunCores(std::min(core_end, (DramNow() + 1) * ratio));
-        }
-        if (eng_ != nullptr) {
-            eng_->AddPhaseTicks(0, obs::EngineProfiler::Phase::kCoreSweep,
-                                obs::EngineProfiler::Now() - sweep_start);
-        }
-
-        // --- controller catch-up (parallel) + barrier ------------------
-        const DramCycle target = (cpu_cycle_ + ratio - 1) / ratio;
-        if (target > next_tick_) {
-            window_from_ = next_tick_;
-            window_to_ = target;
-            window_limit_ = target + window_;
-            if (eng_ != nullptr) {
-                eng_->SetCurrentPhase(
-                    obs::EngineProfiler::Phase::kChannelWork);
-            }
-            team_->RunWindow();
-            next_tick_ = target;
-            MergeWindow();
-            if (eng_ != nullptr) {
-                // Occupancy at the close, from the proxies the coordinator
-                // just verified against the real queues (MergeWindow) —
-                // identical to the serial engine's controller readback.
-                for (std::uint32_t channel = 0; channel < shards_.size();
-                     ++channel) {
-                    prof_occupancy_[channel] = shards_[channel]->read_size +
-                                               shards_[channel]->write_size;
-                }
-                eng_->OnWindowClose(window_from_, target, prof_occupancy_);
-            }
-        }
     }
 }
 
@@ -462,11 +437,7 @@ System::RunCores(CpuCycle until)
         if (progress_bound_cpu_ != 0 && cpu_cycle_ >= next_progress_check_) {
             CheckGlobalProgress();
         }
-        // On the sharded engine the proxies stand in for the lagging
-        // controllers: they describe their state at exactly this cycle.
-        if (active_cores_ == 0 &&
-            (sharded_ ? notifications_.empty() && AllShardsIdle()
-                      : AllDone())) {
+        if (AllDone()) {
             return true;
         }
         if (any_awake || verify) {
@@ -544,19 +515,7 @@ System::WakeQueueWaiters()
                             [](std::uint64_t word) { return word == 0; })) {
                 continue;
             }
-            // The sharded engine's controllers lag; its proxies hold the
-            // queue sizes at this cycle.
-            bool space;
-            if (sharded_) {
-                const ChannelShard& shard = *shards_[channel];
-                space = write ? shard.write_size < write_capacity_
-                              : shard.read_size < read_capacity_;
-            } else {
-                const Controller& controller = *controllers_[channel];
-                space = write ? controller.CanAcceptWrite()
-                              : controller.CanAcceptRead();
-            }
-            if (!space) {
+            if (!QueueHasSpace(channel, write)) {
                 continue;
             }
             for (std::size_t word = 0; word < words; ++word) {
@@ -618,7 +577,7 @@ System::AdvanceChannel(std::uint32_t channel)
         if (tick == shard.next_sample) {
             shard.samples.push_back(
                 {tick, sampler_->SampleChannel(controller, channel)});
-            shard.next_sample += sample_interval_;
+            shard.next_sample += sampler_->interval();
         }
     }
     while (next_in < shard.inbox.size()) {
@@ -698,17 +657,6 @@ System::ApplyScheduledRetires(DramCycle tick)
             shard->write_size -= 1;
         }
     }
-}
-
-bool
-System::AllShardsIdle() const
-{
-    for (const auto& shard : shards_) {
-        if (shard->read_size != 0 || shard->write_size != 0) {
-            return false;
-        }
-    }
-    return true;
 }
 
 void
@@ -874,9 +822,8 @@ System::MergeObservability()
 
     // Sampler rows: every channel sampled at the same cycles (they share
     // the cursor's start and stride), so rows zip back together in channel
-    // order, exactly as the serial TakeSample would have built them.
-    if (sampler_ == nullptr || sample_interval_ == 0 ||
-        shards_.front()->samples.empty()) {
+    // order, exactly as the serial engine's TickControllers builds them.
+    if (sampler_ == nullptr || shards_.front()->samples.empty()) {
         for (auto& shard : shards_) {
             PARBS_ASSERT(shard->samples.empty(),
                          "sampler rows out of step across channels");
@@ -1034,29 +981,45 @@ System::DeliverNotifications()
 bool
 System::AllDone() const
 {
-    if (cores_.empty()) {
-        return true;
-    }
-    if (!notifications_.empty()) {
-        return false;
-    }
-    for (const auto& core : cores_) {
-        if (!core->Done()) {
-            return false;
-        }
-    }
-    // Drained traces may still have requests in flight.  On the sharded
-    // engine the shard proxies stand in for the (lagging) controllers.
-    if (sharded_) {
-        return AllShardsIdle();
-    }
-    for (const auto& controller : controllers_) {
-        if (controller->pending_reads() > 0 ||
-            controller->pending_writes() > 0) {
+    // Drained traces may still have requests in flight.
+    return active_cores_ == 0 && notifications_.empty() && QueuesEmpty();
+}
+
+bool
+System::QueuesEmpty() const
+{
+    for (std::uint32_t channel = 0; channel < controllers_.size();
+         ++channel) {
+        if (QueuedInChannel(channel) != 0) {
             return false;
         }
     }
     return true;
+}
+
+std::uint64_t
+System::QueuedInChannel(std::uint32_t channel) const
+{
+    // The sharded engine's controllers lag behind the cores; its proxies
+    // hold the queue sizes at this cycle.
+    if (sharded_) {
+        const ChannelShard& shard = *shards_[channel];
+        return shard.read_size + shard.write_size;
+    }
+    const Controller& controller = *controllers_[channel];
+    return controller.pending_reads() + controller.pending_writes();
+}
+
+bool
+System::QueueHasSpace(std::uint32_t channel, bool write) const
+{
+    if (sharded_) {
+        const ChannelShard& shard = *shards_[channel];
+        return write ? shard.write_size < write_capacity_
+                     : shard.read_size < read_capacity_;
+    }
+    const Controller& controller = *controllers_[channel];
+    return write ? controller.CanAcceptWrite() : controller.CanAcceptRead();
 }
 
 std::uint32_t
@@ -1268,67 +1231,39 @@ System::MakeRequest(ThreadId thread, Addr addr, bool is_write,
 std::optional<RequestId>
 System::TryIssueRead(ThreadId thread, Addr addr)
 {
-    CheckAddr(addr);
-    const dram::DecodedAddr coords = mapper_.Decode(addr);
-    if (sharded_) {
-        ChannelShard& shard = *shards_[coords.channel];
-        if (shard.read_size >= read_capacity_) {
-            AwaitQueue(coords.channel, false, thread);
-            return std::nullopt;
-        }
-        RequestPtr request = MakeRequest(thread, addr, false, coords);
-        const RequestId id = request->id;
-        shard.read_size += 1;
-        shard.inbox.push_back(
-            {DramNow(), arrival_seq_++, std::move(request)});
-        if (eng_ != nullptr) {
-            eng_->OnArrival(coords.channel);
-        }
-        return id;
-    }
-    Controller& controller = *controllers_[coords.channel];
-    if (!controller.CanAcceptRead()) {
-        AwaitQueue(coords.channel, false, thread);
-        return std::nullopt;
-    }
-    RequestPtr request = MakeRequest(thread, addr, false, coords);
-    const RequestId id = request->id;
-    controller.Enqueue(std::move(request), DramNow());
-    if (eng_ != nullptr) {
-        eng_->OnArrival(coords.channel);
-    }
-    return id;
+    return Issue(thread, addr, false);
 }
 
 bool
 System::TryIssueWrite(ThreadId thread, Addr addr)
 {
+    return Issue(thread, addr, true).has_value();
+}
+
+std::optional<RequestId>
+System::Issue(ThreadId thread, Addr addr, bool write)
+{
     CheckAddr(addr);
     const dram::DecodedAddr coords = mapper_.Decode(addr);
+    if (!QueueHasSpace(coords.channel, write)) {
+        AwaitQueue(coords.channel, write, thread);
+        return std::nullopt;
+    }
+    RequestPtr request = MakeRequest(thread, addr, write, coords);
+    const RequestId id = request->id;
     if (sharded_) {
+        // Mailed to the channel's worker; the proxy counts it at once.
         ChannelShard& shard = *shards_[coords.channel];
-        if (shard.write_size >= write_capacity_) {
-            AwaitQueue(coords.channel, true, thread);
-            return false;
-        }
-        shard.write_size += 1;
-        shard.inbox.push_back({DramNow(), arrival_seq_++,
-                               MakeRequest(thread, addr, true, coords)});
-        if (eng_ != nullptr) {
-            eng_->OnArrival(coords.channel);
-        }
-        return true;
+        (write ? shard.write_size : shard.read_size) += 1;
+        shard.inbox.push_back(
+            {DramNow(), arrival_seq_++, std::move(request)});
+    } else {
+        controllers_[coords.channel]->Enqueue(std::move(request), DramNow());
     }
-    Controller& controller = *controllers_[coords.channel];
-    if (!controller.CanAcceptWrite()) {
-        AwaitQueue(coords.channel, true, thread);
-        return false;
-    }
-    controller.Enqueue(MakeRequest(thread, addr, true, coords), DramNow());
     if (eng_ != nullptr) {
         eng_->OnArrival(coords.channel);
     }
-    return true;
+    return id;
 }
 
 } // namespace parbs

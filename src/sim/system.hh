@@ -1,15 +1,19 @@
 /**
  * @file
  * The full CMP system: cores, the address mapper, and one memory controller
- * per channel, advanced in lock-step on the two clock domains.
+ * per channel, advanced on the two clock domains.
  *
- * Two execution engines produce bit-identical results (DESIGN.md §5g):
- * the serial cycle loop, and a sharded loop (config.channel_jobs > 1) that
- * advances each channel's controller on a worker thread in adaptive
- * lookahead windows.  Both advance the cores with one event-driven sweep
- * (DESIGN.md §5d): a core whose cycle made no progress sleeps until a read
- * completes for it or a queue that refused it frees an entry, and its
- * skipped cycles are charged in bulk.
+ * Two execution engines produce bit-identical results from one window
+ * loop, System::Run (DESIGN.md §5g).  Both sweep the cores through the
+ * same lookahead windows with one event-driven sweep (DESIGN.md §5d): a
+ * core whose cycle made no progress sleeps until a read completes for it
+ * or a queue that refused it frees an entry, and its skipped cycles are
+ * charged in bulk.  The engines differ in two steps.  At each DRAM cycle
+ * boundary the serial engine ticks every controller in lockstep with the
+ * cores (the reference), while the sharded engine (config.channel_jobs >
+ * 1) replays the scheduled retires on per-channel occupancy proxies.  At
+ * each window close the sharded engine advances every channel's controller
+ * on a worker thread and merges the results back in serial order.
  */
 
 #ifndef PARBS_SIM_SYSTEM_HH
@@ -63,7 +67,8 @@ class System : public MemoryPort {
      */
     void Run(CpuCycle cpu_cycles);
 
-    /** @return true once all cores have drained their traces. */
+    /** @return true once all cores have drained their traces and no
+     *  request or read completion is left in flight. */
     bool AllDone() const;
 
     CpuCycle now() const { return cpu_cycle_; }
@@ -137,18 +142,17 @@ class System : public MemoryPort {
 
     /**
      * True when Run uses the sharded engine: the resolved channel_jobs
-     * exceeds 1, there is more than one channel, and the timing admits a
-     * nonzero lookahead window.  Otherwise Run silently falls back to the
-     * serial loop (results are identical either way).
+     * exceeds 1, which needs more than one channel.  Otherwise Run uses
+     * the serial engine (results are identical either way).
      */
     bool sharded() const { return sharded_; }
 
-    /** The sharded engine's lookahead window, in DRAM cycles (0 when the
-     *  timing admits none; see DESIGN.md §5g for the bound). */
+    /** The lookahead window both engines walk, in DRAM cycles; at least 1,
+     *  since the timing forces tBURST >= 1 (DESIGN.md §5g). */
     DramCycle lookahead_window() const { return window_; }
 
     /** Resolved channel_jobs: the sharded engine's team size, 1 on the
-     *  serial loop.  The auto value (0) never exceeds the hardware
+     *  serial engine.  The auto value (0) never exceeds the hardware
      *  threads. */
     unsigned channel_jobs() const { return shard_jobs_; }
 
@@ -172,7 +176,8 @@ class System : public MemoryPort {
 
     /** Constructed only when config.observability.Enabled(). */
     std::unique_ptr<obs::Observability> obs_;
-    /** Cached &obs_->sampler(), or null — keeps the Run loop branch cheap. */
+    /** Cached &obs_->sampler() when a sample interval is set, else null —
+     *  keeps the Run loop branch cheap. */
     obs::IntervalSampler* sampler_ = nullptr;
 
     CpuCycle cpu_cycle_ = 0;
@@ -243,6 +248,18 @@ class System : public MemoryPort {
         return &queue_waiters_[(2 * channel + (write ? 1 : 0)) *
                                awake_.size()];
     }
+
+    /** O(channels) check that no request is queued in any channel. */
+    bool QueuesEmpty() const;
+    /** Requests queued in @p channel at the current cycle: the real queues
+     *  on the serial engine, the proxies on the sharded one. */
+    std::uint64_t QueuedInChannel(std::uint32_t channel) const;
+    /** Whether @p channel's read (or write) queue accepts a request now;
+     *  reads the same source as QueuedInChannel. */
+    bool QueueHasSpace(std::uint32_t channel, bool write) const;
+
+    /** The one issue path behind TryIssueRead and TryIssueWrite. */
+    std::optional<RequestId> Issue(ThreadId thread, Addr addr, bool write);
 
     /**
      * The shared core sweep of both engines: runs the cores from
@@ -373,7 +390,6 @@ class System : public MemoryPort {
     std::uint64_t arrival_seq_ = 0;
     std::size_t read_capacity_ = 0;
     std::size_t write_capacity_ = 0;
-    DramCycle sample_interval_ = 0;
 
     std::vector<std::unique_ptr<ChannelShard>> shards_;
 
@@ -398,17 +414,8 @@ class System : public MemoryPort {
     /** Cached raw pointer, same discipline as sampler_: the hot-path gate
      *  is one null check, no unique_ptr deref. */
     obs::EngineProfiler* eng_ = nullptr;
-    /** The serial engine's replica of next_tick_: where the sharded engine
-     *  would close windows, so the deterministic window counters match
-     *  byte-for-byte across engines (ProfileSerialWindow). */
-    DramCycle prof_next_tick_ = 0;
     /** Reused per-channel occupancy scratch for window closes. */
     std::vector<std::uint64_t> prof_occupancy_;
-
-    /** Closes the serial engine's replicated window at the current cycle
-     *  (no-op when no controller tick has been executed since the last
-     *  close). */
-    void ProfileSerialWindow();
 
     /** Rethrows a worker-side error; watchdog errors are rewrapped with
      *  the engine state dump appended so a stall shows where the engine
@@ -425,8 +432,17 @@ class System : public MemoryPort {
      *  latency no longer bounds the window. */
     DramCycle LookaheadWindow() const;
 
-    void RunSerial(CpuCycle end);
-    void RunSharded(CpuCycle end);
+    /** The serial engine's DRAM cycle boundary: ticks every controller,
+     *  then takes the sampler row when one is due. */
+    void TickControllers(DramCycle now);
+
+    /**
+     * Closes the window of controller ticks [next_tick_, @p target): the
+     * sharded engine runs the ticks on its team and merges them; both
+     * engines then record the close with the profiler.  @p work_ticks is
+     * the serial engine's wall time in TickControllers this window.
+     */
+    void CloseWindow(DramCycle target, std::uint64_t work_ticks);
 
     /** Worker body: advances this participant's channels.  Never throws:
      *  a channel's error is kept in its shard for MergeWindow. */
@@ -445,16 +461,14 @@ class System : public MemoryPort {
     void ApplyScheduledRetires(DramCycle tick);
 
     /** Re-establishes coordinator state from the real controllers at the
-     *  start of a sharded Run (schedules, proxies, sampler cursors). */
+     *  start of a sharded Run (schedules, proxies, sampler cursors);
+     *  @pre next_tick_ is set for the run. */
     void PrepareShardedRun();
 
     /** Folds the window's outputs back into the serial-order structures:
      *  notifications, trace, latency, samples; verifies the proxies. */
     void MergeWindow();
     void MergeObservability();
-
-    /** O(channels) drained check over the occupancy proxies. */
-    bool AllShardsIdle() const;
 
     /** Points controllers and adapters at the staging (or main) sinks. */
     void BindShardObservability(bool staging);

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -59,12 +60,15 @@ struct ProfiledArtifacts {
     bool sharded = false;
 };
 
+/** Runs @p config through one Run call per entry of @p chunks. */
 ProfiledArtifacts
 RunProfiled(const SystemConfig& config, std::uint32_t cores,
-            CpuCycle cycles)
+            const std::vector<CpuCycle>& chunks)
 {
     System system(config, SyntheticTraces(config, cores));
-    system.Run(cycles);
+    for (const CpuCycle chunk : chunks) {
+        system.Run(chunk);
+    }
     ProfiledArtifacts out;
     out.stop = system.now();
     out.sharded = system.sharded();
@@ -82,24 +86,31 @@ TEST_P(EngineCounterDeterminism, ByteIdenticalAcrossEngineShapes)
 {
     const SchedulerConfig scheduler = ComparisonSchedulers()[GetParam()];
     constexpr std::uint32_t kCores = 64; // Baseline(64) has 16 channels.
-    constexpr CpuCycle kCycles = 25000;
 
-    // Serial reference: channel_jobs 1 keeps the serial cycle loop, which
-    // replays the sharded window schedule purely for accounting.
-    const ProfiledArtifacts serial = RunProfiled(
-        ProfiledConfig(kCores, scheduler, 1), kCores, kCycles);
-    ASSERT_FALSE(serial.sharded);
+    // One Run call, and odd-length chunks of the same total that end
+    // mid-DRAM-cycle and mid-window, so windows close at run edges too.
+    const std::vector<std::vector<CpuCycle>> plans = {{25000},
+                                                      {7, 9973, 15020}};
+    for (const std::vector<CpuCycle>& chunks : plans) {
+        // Serial reference: channel_jobs 1 keeps the lockstep controller
+        // ticks, closing the same windows in the shared loop.
+        const ProfiledArtifacts serial = RunProfiled(
+            ProfiledConfig(kCores, scheduler, 1), kCores, chunks);
+        ASSERT_FALSE(serial.sharded);
 
-    // Channel shards at two crew sizes: every shape must reproduce the
-    // serial counters byte for byte.
-    for (const unsigned jobs : {4u, 8u}) {
-        const ProfiledArtifacts sharded = RunProfiled(
-            ProfiledConfig(kCores, scheduler, jobs), kCores, kCycles);
-        ASSERT_TRUE(sharded.sharded) << "jobs=" << jobs;
-        EXPECT_EQ(serial.stop, sharded.stop) << "jobs=" << jobs;
-        EXPECT_EQ(serial.stats, sharded.stats) << "jobs=" << jobs;
-        EXPECT_EQ(serial.engine_run, sharded.engine_run)
-            << "jobs=" << jobs;
+        // Channel shards at two crew sizes: every shape must reproduce
+        // the serial counters byte for byte.
+        for (const unsigned jobs : {4u, 8u}) {
+            const ProfiledArtifacts sharded = RunProfiled(
+                ProfiledConfig(kCores, scheduler, jobs), kCores, chunks);
+            const std::string where = "jobs=" + std::to_string(jobs) +
+                                      " chunks=" +
+                                      std::to_string(chunks.size());
+            ASSERT_TRUE(sharded.sharded) << where;
+            EXPECT_EQ(serial.stop, sharded.stop) << where;
+            EXPECT_EQ(serial.stats, sharded.stats) << where;
+            EXPECT_EQ(serial.engine_run, sharded.engine_run) << where;
+        }
     }
 }
 
@@ -180,6 +191,48 @@ TEST(EngineProfiler, DeterministicJsonCarriesTheWindowSchedule)
     const json::Value* hiwater = env.Find("pool_hiwater");
     ASSERT_NE(hiwater, nullptr);
     EXPECT_EQ(hiwater->items().size(), config.geometry.channels);
+}
+
+/** The (participant 0, @p phase) entry of EngineEnvJson()'s phases. */
+const json::Value*
+CoordinatorPhase(const json::Value& env, const std::string& phase)
+{
+    for (const json::Value& entry : env.Find("phases")->items()) {
+        if (entry.Find("participant")->AsNumber() == 0.0 &&
+            entry.Find("phase")->AsString() == phase) {
+            return &entry;
+        }
+    }
+    return nullptr;
+}
+
+TEST(EngineProfiler, SerialRunTimesTheSamePhasesPerWindow)
+{
+    // The serial engine walks the sharded engine's windows, so its wall
+    // time splits into the same phases: controller ticks and sampling as
+    // participant 0's channel work, the rest of the sweep as core sweep,
+    // one sample each per window.  The second run passes the record cap.
+    SchedulerConfig scheduler;
+    scheduler.kind = SchedulerKind::kFrFcfs;
+    SystemConfig config = ProfiledConfig(4, scheduler, 1);
+    System system(config, SyntheticTraces(config, 4));
+    ASSERT_FALSE(system.sharded());
+    for (const CpuCycle cycles : {CpuCycle{50000}, CpuCycle{350000}}) {
+        system.Run(cycles);
+        const double windows =
+            system.EngineRunJson().Find("windows")->AsNumber();
+        const json::Value env = system.EngineEnvJson();
+        const json::Value* sweep = CoordinatorPhase(env, "core_sweep");
+        const json::Value* work = CoordinatorPhase(env, "channel_work");
+        ASSERT_NE(sweep, nullptr);
+        ASSERT_NE(work, nullptr);
+        EXPECT_GT(sweep->Find("ticks")->AsNumber(), 0.0);
+        EXPECT_GT(work->Find("ticks")->AsNumber(), 0.0);
+        EXPECT_EQ(work->Find("samples")->AsNumber(), windows);
+        EXPECT_GE(sweep->Find("samples")->AsNumber(), windows);
+        EXPECT_EQ(env.Find("windows_recorded")->AsNumber(),
+                  std::min(windows, 4096.0));
+    }
 }
 
 TEST(EngineProfiler, TraceGainsEngineLanesOnlyWhenProfiled)

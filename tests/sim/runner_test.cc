@@ -246,5 +246,40 @@ TEST(RunnerJobs, BatchJobsDivideByTheResolvedTeam)
     EXPECT_EQ(session.BatchJobs(8), 1u);
 }
 
+TEST(ParseOptions, NumericFlagsParseExactly)
+{
+    Argv args({"--cycles", "1000", "--seed", "18446744073709551615",
+               "--jobs", "3", "--channel-jobs", "0"});
+    const bench::Options options = bench::ParseOptions(args.argc(),
+                                                       args.argv());
+    EXPECT_EQ(options.cycles, 1000u);
+    EXPECT_EQ(options.seed, 18446744073709551615ull);
+    EXPECT_EQ(options.jobs, 3u);
+    EXPECT_EQ(options.channel_jobs, 0u);
+}
+
+TEST(ParseOptionsDeathTest, MalformedNumbersExitTwoNamingTheFlag)
+{
+    const std::vector<std::pair<std::string, std::string>> bad = {
+        {"--jobs", "abc"},
+        {"--cycles", "1x0"},
+        {"--cycles", ""},
+        {"--cycles", "-1"},
+        {"--cycles", "+5"},
+        {"--seed", "18446744073709551616"},
+        {"--channel-jobs", "4294967296"},
+        {"--jobs", " 4"},
+    };
+    for (const auto& [flag, value] : bad) {
+        EXPECT_EXIT(
+            {
+                Argv args({"--quick", flag, value});
+                bench::ParseOptions(args.argc(), args.argv());
+            },
+            ::testing::ExitedWithCode(2), "invalid value for " + flag)
+            << flag << " '" << value << "'";
+    }
+}
+
 } // namespace
 } // namespace parbs

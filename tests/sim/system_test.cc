@@ -34,6 +34,25 @@ TEST(System, BaselineConfigsScaleChannels)
     EXPECT_EQ(SystemConfig::Baseline(16).geometry.channels, 4u);
 }
 
+TEST(System, EnableChecksTurnsOnEveryReference)
+{
+    for (const std::uint32_t cores : {16u, 64u}) {
+        SystemConfig config = SystemConfig::Baseline(cores);
+        config.channel_jobs = 0;
+        config.EnableChecks();
+        EXPECT_EQ(config.channel_jobs, 1u) << cores;
+        EXPECT_TRUE(config.controller.protocol_check) << cores;
+        EXPECT_TRUE(config.controller.verify_fast_path) << cores;
+        EXPECT_TRUE(config.controller.verify_indexed_selection) << cores;
+        EXPECT_TRUE(config.verify_core_fast_path) << cores;
+        // The selection cross-check is sampled above 32 cores only.
+        EXPECT_EQ(config.controller.verify_sample_period,
+                  cores > 32 ? 61u : 1u)
+            << cores;
+        config.Validate();
+    }
+}
+
 TEST(System, RunsAndMeasures)
 {
     SystemConfig config = SystemConfig::Baseline(4);

@@ -29,7 +29,9 @@
  * a label differ only in worker count N, so the mode also fits
  * wall = a + b/N per label and reports the implied Amdahl ceiling
  * (a+b)/a — the speedup the engine could reach with infinite workers.
- * With --summary the table is appended as markdown.
+ * A fit whose parallel part b is not positive prints "no parallel
+ * speedup" instead of a ceiling below 1x.  With --summary the table is
+ * appended as markdown.
  *
  * The check compares each file's deterministic "run" subtree exactly
  * (any metric drift fails) and its wall clock against the golden wall
@@ -488,8 +490,24 @@ struct AmdahlFit {
     std::size_t points = 0;
     double serial = 0.0;    ///< a: wall left at N = infinity.
     double parallel = 0.0;  ///< b: the part that scales away.
-    double ceiling = 0.0;   ///< (a+b)/a, or 0 when a is noise-negative.
+    /** (a+b)/a, or 0 when the fit is not physical: a <= 0 (no serial
+     *  floor) or b <= 0 (wall does not fall with N). */
+    double ceiling = 0.0;
 };
+
+/** The verdict printed in place of a ceiling for a non-physical fit,
+ *  or null when the fit has a ceiling. */
+const char*
+NonPhysicalFit(const AmdahlFit& fit)
+{
+    if (fit.parallel <= 0.0) {
+        return "no parallel speedup (wall does not fall with N)";
+    }
+    if (fit.serial <= 0.0) {
+        return "no measurable serial floor";
+    }
+    return nullptr;
+}
 
 /**
  * Collects one EngineRow per env.engine entry of every benchmark in the
@@ -549,10 +567,12 @@ CollectEngineRows(const Value& report)
  * Fits wall = a + b * (1/N) per config label by least squares over the
  * rows whose participant counts differ.  Within one label the simulated
  * work is fixed, so N only varies when the same suite was run at several
- * --channel-jobs values into the same --dir (the CI engine sweep); the
- * intercept a is then the engine's serial floor and (a+b)/a its Amdahl
- * speedup ceiling.  Labels without at least two distinct N are skipped —
- * a single-sweep aggregate simply fits nothing.
+ * --channel-jobs values into the same --dir (the CI engine sweep, which
+ * includes the serial engine as N = 1); the intercept a is then the
+ * engine's serial floor and (a+b)/a its Amdahl speedup ceiling.  A fit
+ * with b <= 0 or a <= 0 is not physical and gets no ceiling.  Labels
+ * without at least two distinct N are skipped — a single-sweep aggregate
+ * simply fits nothing.
  */
 std::vector<AmdahlFit>
 FitAmdahl(const std::vector<EngineRow>& rows)
@@ -605,9 +625,9 @@ FitAmdahl(const std::vector<EngineRow>& rows)
         fit.parallel =
             (static_cast<double>(n) * sum_xy - sum_x * sum_y) / denom;
         fit.serial = (sum_y - fit.parallel * sum_x) / static_cast<double>(n);
-        fit.ceiling = fit.serial > 0.0
-                          ? (fit.serial + fit.parallel) / fit.serial
-                          : 0.0;
+        if (NonPhysicalFit(fit) == nullptr) {
+            fit.ceiling = (fit.serial + fit.parallel) / fit.serial;
+        }
         fits.push_back(std::move(fit));
     }
     return fits;
@@ -635,17 +655,15 @@ PrintEngineTable(const std::vector<EngineRow>& rows,
                      row.wall_seconds);
     }
     for (const AmdahlFit& fit : fits) {
-        if (fit.ceiling > 0.0) {
+        if (const char* verdict = NonPhysicalFit(fit)) {
+            std::fprintf(stderr, "amdahl %-42s %s (%zu points)\n",
+                         fit.group.c_str(), verdict, fit.points);
+        } else {
             std::fprintf(stderr,
                          "amdahl %-42s serial %.3fs + parallel %.3fs "
                          "-> ceiling %.1fx (%zu points)\n",
                          fit.group.c_str(), fit.serial, fit.parallel,
                          fit.ceiling, fit.points);
-        } else {
-            std::fprintf(stderr,
-                         "amdahl %-42s no measurable serial floor "
-                         "(%zu points)\n",
-                         fit.group.c_str(), fit.points);
         }
     }
 }
@@ -684,15 +702,16 @@ AppendEngineSummary(const std::string& path,
         out << "| group | points | serial a | parallel b | ceiling |\n";
         out << "|---|---|---|---|---|\n";
         for (const AmdahlFit& fit : fits) {
-            if (fit.ceiling > 0.0) {
+            if (const char* verdict = NonPhysicalFit(fit)) {
+                std::snprintf(line, sizeof(line),
+                              "| %s | %zu | %.3fs | %.3fs | %s |\n",
+                              fit.group.c_str(), fit.points, fit.serial,
+                              fit.parallel, verdict);
+            } else {
                 std::snprintf(line, sizeof(line),
                               "| %s | %zu | %.3fs | %.3fs | %.1fx |\n",
                               fit.group.c_str(), fit.points, fit.serial,
                               fit.parallel, fit.ceiling);
-            } else {
-                std::snprintf(line, sizeof(line),
-                              "| %s | %zu | — | — | no serial floor |\n",
-                              fit.group.c_str(), fit.points);
             }
             out << line;
         }

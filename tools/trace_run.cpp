@@ -11,10 +11,12 @@
  *
  * --engine turns on the engine flight recorder (DESIGN.md §5h): the
  * written trace gains the synthetic "engine" process with coordinator /
- * worker / window lanes.  The wall-timed window spans only exist when the
- * run is sharded, so pair it with --channel-jobs (0 = all hardware
- * threads); a serial run still records the deterministic counters and the
- * whole-run summary span.
+ * worker / window lanes.  Serial and sharded runs both record wall-timed
+ * window spans; worker lanes need --channel-jobs (0 = all hardware
+ * threads).
+ *
+ * Numeric values are checked: a malformed or out-of-range number exits 2
+ * with a message naming the flag.
  *
  * NAME is any registry display name (FR-FCFS, FCFS, NFQ, STFM, PAR-BS,
  * BLISS, ...) matched case-insensitively with punctuation ignored, so
@@ -27,18 +29,22 @@
  */
 
 #include <cctype>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
 
+#include "bench_common.hh"
 #include "sched/factory.hh"
 #include "sim/experiment.hh"
 #include "sim/system.hh"
 #include "sim/workloads.hh"
 
 namespace {
+
+using parbs::bench::ParseUnsignedFlag;
 
 int
 Usage(const char* argv0, int status)
@@ -121,9 +127,9 @@ main(int argc, char** argv)
             out_path = argv[++i];
         } else if (arg == "--cores" && i + 1 < argc) {
             cores = static_cast<std::uint32_t>(
-                std::strtoul(argv[++i], nullptr, 10));
+                ParseUnsignedFlag(arg, argv[++i], UINT32_MAX));
         } else if (arg == "--cycles" && i + 1 < argc) {
-            cycles = std::strtoull(argv[++i], nullptr, 10);
+            cycles = ParseUnsignedFlag(arg, argv[++i]);
         } else if (arg == "--scheduler" && i + 1 < argc) {
             if (!ParseScheduler(argv[++i], kind)) {
                 std::fprintf(stderr, "trace_run: unknown scheduler %s\n",
@@ -131,14 +137,14 @@ main(int argc, char** argv)
                 return 2;
             }
         } else if (arg == "--interval" && i + 1 < argc) {
-            interval = std::strtoull(argv[++i], nullptr, 10);
+            interval = ParseUnsignedFlag(arg, argv[++i]);
         } else if (arg == "--seed" && i + 1 < argc) {
-            seed = std::strtoull(argv[++i], nullptr, 10);
+            seed = ParseUnsignedFlag(arg, argv[++i]);
         } else if (arg == "--engine") {
             engine = true;
         } else if (arg == "--channel-jobs" && i + 1 < argc) {
             channel_jobs = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
+                ParseUnsignedFlag(arg, argv[++i], UINT_MAX));
         } else if (arg == "--help" || arg == "-h") {
             return Usage(argv[0], 0);
         } else {
