@@ -30,10 +30,18 @@ std::uint64_t
 ParseUnsignedFlag(const std::string& flag, const char* text,
                   std::uint64_t max)
 {
+    const char* first = text;
     const char* last = text + std::strlen(text);
+    int base = 10;
+    // from_chars has no base 0: strip a 0x prefix and parse hex instead.
+    if (last - first >= 2 && first[0] == '0' &&
+        (first[1] == 'x' || first[1] == 'X')) {
+        first += 2;
+        base = 16;
+    }
     std::uint64_t value = 0;
-    const auto [ptr, ec] = std::from_chars(text, last, value, 10);
-    if (text == last || ec != std::errc{} || ptr != last || value > max) {
+    const auto [ptr, ec] = std::from_chars(first, last, value, base);
+    if (first == last || ec != std::errc{} || ptr != last || value > max) {
         std::fprintf(stderr,
                      "invalid value for %s: '%s' (expected an unsigned "
                      "integer up to %llu)\n",

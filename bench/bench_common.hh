@@ -82,10 +82,10 @@ struct Options {
 Options ParseOptions(int argc, char** argv);
 
 /**
- * Parses @p text, the value given for @p flag, as an unsigned decimal
- * integer no larger than @p max.  Empty input, signs, trailing characters
- * and overflow exit 2 with a message naming the flag, like an unknown
- * flag does.
+ * Parses @p text, the value given for @p flag, as an unsigned integer no
+ * larger than @p max: decimal, or hex after a 0x prefix.  Empty input
+ * (a bare 0x included), signs, trailing characters and overflow exit 2
+ * with a message naming the flag, like an unknown flag does.
  */
 std::uint64_t ParseUnsignedFlag(const std::string& flag, const char* text,
                                 std::uint64_t max = UINT64_MAX);

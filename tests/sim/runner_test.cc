@@ -256,6 +256,15 @@ TEST(ParseOptions, NumericFlagsParseExactly)
     EXPECT_EQ(options.seed, 18446744073709551615ull);
     EXPECT_EQ(options.jobs, 3u);
     EXPECT_EQ(options.channel_jobs, 0u);
+
+    // A 0x prefix switches to hex (CI's fault_fuzz passes --seed 0xFA11).
+    Argv hex({"--seed", "0xFA11", "--cycles", "0X10", "--channel-jobs",
+              "0xffffffff"});
+    const bench::Options hex_options = bench::ParseOptions(hex.argc(),
+                                                           hex.argv());
+    EXPECT_EQ(hex_options.seed, 0xFA11u);
+    EXPECT_EQ(hex_options.cycles, 16u);
+    EXPECT_EQ(hex_options.channel_jobs, 0xffffffffu);
 }
 
 TEST(ParseOptionsDeathTest, MalformedNumbersExitTwoNamingTheFlag)
@@ -269,6 +278,11 @@ TEST(ParseOptionsDeathTest, MalformedNumbersExitTwoNamingTheFlag)
         {"--seed", "18446744073709551616"},
         {"--channel-jobs", "4294967296"},
         {"--jobs", " 4"},
+        {"--seed", "0x"},
+        {"--seed", "0xg"},
+        {"--seed", "0x-1"},
+        {"--seed", "0x10000000000000000"},
+        {"--channel-jobs", "0x100000000"},
     };
     for (const auto& [flag, value] : bad) {
         EXPECT_EXIT(

@@ -6,8 +6,7 @@
  * golden results:
  *
  *   bench_report --dir bench/out --out BENCH_results.json
- *   bench_report --dir bench/out --check bench/golden [--wall-tolerance 0.2]
- *   bench_report --dir bench/out --prev perf/BENCH_results-pr3.json
+ *   bench_report --dir bench/out --check bench/golden
  *   bench_report --dir bench/out --summary summary.md
  *   bench_report --dir bench/out --engine
  *   bench_report --trace run.json
@@ -23,38 +22,34 @@
  *
  * --engine reads the engine flight-recorder subtrees that bench_scale
  * emits under env.engine (per-run phase timings) and prints one row per
- * (config, scheduler): serial-tail fraction of the coordinator, mean
- * worker utilization, and recorded window count.  When the same suite was
- * run at several --channel-jobs values into the same --dir, rows sharing
- * a label differ only in worker count N, so the mode also fits
- * wall = a + b/N per label and reports the implied Amdahl ceiling
- * (a+b)/a — the speedup the engine could reach with infinite workers.
+ * (config, scheduler): serial-tail fraction of the coordinator, the
+ * synchronisation fraction (barrier_join + worker_park over all phase
+ * time, summed over participants), mean worker utilization ("—" on the
+ * serial engine, which has no workers), and recorded window count.  When
+ * the same suite was run at several --channel-jobs values into the same
+ * --dir, rows sharing a label differ only in worker count N, so the mode
+ * also fits wall = a + b/N per label and reports the implied Amdahl
+ * ceiling (a+b)/a — the speedup the engine could reach with infinite workers.
  * A fit whose parallel part b is not positive prints "no parallel
  * speedup" instead of a ceiling below 1x.  With --summary the table is
  * appended as markdown.
  *
  * The check compares each file's deterministic "run" subtree exactly
  * (any metric drift fails) and its wall clock against the golden wall
- * clock with a relative tolerance (default +20%) — the perf-regression
- * gate in CI.  Exit status: 0 clean, 1 regression/drift, 2 usage error.
- *
- * With --prev (a previously checked-in aggregate report, see perf/), a
- * per-binary speedup-vs-previous-run line is printed for every benchmark
- * present in both runs — the perf trajectory across PRs.  Informational
- * only: wall clocks from different machines are not gated.
+ * clock (+20% plus a quarter second) — the perf-regression gate in CI.
+ * Exit status: 0 clean, 1 regression/drift, 2 usage error.
  *
  * The aggregate pass also joins every per-scheduler aggregate (weighted
  * speedup, unfairness) with the table1 "scheduler cost" values into the
  * performance / fairness / hardware-cost Pareto table — the policy
- * shootout the lineup exists for.  --summary PATH additionally writes the
- * Pareto table and the speedup lines as GitHub-flavored markdown (CI
- * appends it to $GITHUB_STEP_SUMMARY).
+ * shootout the lineup exists for.  --summary PATH additionally appends
+ * the Pareto table as GitHub-flavored markdown (CI passes
+ * $GITHUB_STEP_SUMMARY).
  */
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -113,77 +108,6 @@ WallSeconds(const Value& root)
     const Value* env = root.Find("env");
     const Value* wall = env != nullptr ? env->Find("wall_seconds") : nullptr;
     return wall != nullptr ? wall->AsNumber() : 0.0;
-}
-
-/** One matched benchmark of the perf trajectory (--prev). */
-struct SpeedupLine {
-    std::string file;
-    double prev_wall = 0.0;
-    double wall = 0.0;
-};
-
-/**
- * Prints one "speedup" line per benchmark present in both the fresh
- * aggregate @p report and the previous aggregate @p prev (matched by the
- * per-entry "file" name): previous wall, current wall, and the ratio
- * (>1x means this run is faster).  @return the matched lines, for the
- * markdown summary.
- */
-std::vector<SpeedupLine>
-PrintSpeedups(const Value& report, const Value& prev)
-{
-    std::vector<SpeedupLine> lines;
-    const Value* prev_benchmarks = prev.Find("benchmarks");
-    const Value* benchmarks = report.Find("benchmarks");
-    if (prev_benchmarks == nullptr || benchmarks == nullptr) {
-        std::fprintf(stderr,
-                     "bench_report: --prev file has no \"benchmarks\" "
-                     "array; skipping speedups\n");
-        return lines;
-    }
-    double prev_total = 0.0;
-    double total = 0.0;
-    std::size_t matched = 0;
-    for (const Value& entry : benchmarks->items()) {
-        const Value* file = entry.Find("file");
-        if (file == nullptr) {
-            continue;
-        }
-        const Value* prev_entry = nullptr;
-        for (const Value& candidate : prev_benchmarks->items()) {
-            const Value* candidate_file = candidate.Find("file");
-            if (candidate_file != nullptr &&
-                candidate_file->AsString() == file->AsString()) {
-                prev_entry = &candidate;
-                break;
-            }
-        }
-        if (prev_entry == nullptr) {
-            std::fprintf(stderr, "speedup %-28s (new benchmark, no "
-                                 "previous run)\n",
-                         file->AsString().c_str());
-            continue;
-        }
-        const double wall = WallSeconds(entry);
-        const double prev_wall = WallSeconds(*prev_entry);
-        if (wall <= 0.0 || prev_wall <= 0.0) {
-            continue;
-        }
-        matched += 1;
-        total += wall;
-        prev_total += prev_wall;
-        lines.push_back({file->AsString(), prev_wall, wall});
-        std::fprintf(stderr, "speedup %-28s %6.2fs -> %6.2fs  (%.2fx)\n",
-                     file->AsString().c_str(), prev_wall, wall,
-                     prev_wall / wall);
-    }
-    if (matched > 0) {
-        std::fprintf(stderr,
-                     "speedup total (%zu matched)          %6.2fs -> "
-                     "%6.2fs  (%.2fx)\n",
-                     matched, prev_total, total, prev_total / total);
-    }
-    return lines;
 }
 
 /**
@@ -405,13 +329,9 @@ PrintParetoTable(const std::vector<ParetoRow>& rows)
     }
 }
 
-/**
- * Writes the markdown job summary: the Pareto table plus (when --prev
- * matched anything) the per-benchmark wall-clock trajectory.
- */
+/** Appends the Pareto table as the markdown job summary to @p path. */
 bool
-WriteSummary(const std::string& path, const std::vector<ParetoRow>& rows,
-             const std::vector<SpeedupLine>& speedups)
+WriteSummary(const std::string& path, const std::vector<ParetoRow>& rows)
 {
     std::ofstream out(path, std::ios::app);
     if (!out) {
@@ -445,27 +365,6 @@ WriteSummary(const std::string& path, const std::vector<ParetoRow>& rows,
         out << line;
     }
     out << "\n";
-    if (!speedups.empty()) {
-        out << "### Wall-clock trajectory vs previous run\n\n";
-        out << "| benchmark | previous | current | speedup |\n";
-        out << "|---|---|---|---|\n";
-        double prev_total = 0.0;
-        double total = 0.0;
-        for (const SpeedupLine& speedup : speedups) {
-            prev_total += speedup.prev_wall;
-            total += speedup.wall;
-            std::snprintf(line, sizeof(line),
-                          "| %s | %.2fs | %.2fs | %.2fx |\n",
-                          speedup.file.c_str(), speedup.prev_wall,
-                          speedup.wall, speedup.prev_wall / speedup.wall);
-            out << line;
-        }
-        std::snprintf(line, sizeof(line),
-                      "| **total** | %.2fs | %.2fs | %.2fx |\n",
-                      prev_total, total, prev_total / total);
-        out << line;
-        out << "\n";
-    }
     std::fprintf(stderr, "bench_report: appended summary to %s\n",
                  path.c_str());
     return true;
@@ -479,10 +378,27 @@ struct EngineRow {
     std::string label;        ///< "64 cores x 8 channels (1 rank)/PAR-BS"
     double participants = 0.0;
     double tail = 0.0;        ///< Coordinator serial-tail fraction.
+    /** barrier_join + worker_park over all phase time, every participant. */
+    double sync = 0.0;
     double utilization = 0.0; ///< Mean worker busy fraction.
     double windows = 0.0;     ///< Wall-timed window records kept.
     double wall_seconds = 0.0; ///< Coordinator busy seconds (all phases).
 };
+
+/** The serial engine's worker-utilization cell: it has no workers. */
+constexpr const char kNoWorkers[] = "—";
+
+/** Worker utilization as "12.3%", or kNoWorkers when N = 1. */
+std::string
+UtilizationCell(const EngineRow& row)
+{
+    if (row.participants <= 1.0) {
+        return kNoWorkers;
+    }
+    char cell[32];
+    std::snprintf(cell, sizeof(cell), "%.1f%%", row.utilization * 100.0);
+    return cell;
+}
 
 /** Per-config least-squares fit of wall = a + b/N. */
 struct AmdahlFit {
@@ -547,16 +463,29 @@ CollectEngineRows(const Value& report)
                 utilization != nullptr ? utilization->AsNumber() : 0.0;
             row.windows = windows != nullptr ? windows->AsNumber() : 0.0;
             const Value* phases = timing->Find("phases");
+            double sync_seconds = 0.0;
+            double phase_seconds = 0.0;
             if (phases != nullptr) {
                 for (const Value& phase : phases->items()) {
                     const Value* participant = phase.Find("participant");
+                    const Value* name = phase.Find("phase");
                     const Value* seconds = phase.Find("seconds");
-                    if (participant != nullptr && seconds != nullptr &&
-                        participant->AsNumber() == 0.0) {
+                    if (participant == nullptr || name == nullptr ||
+                        seconds == nullptr) {
+                        continue;
+                    }
+                    phase_seconds += seconds->AsNumber();
+                    if (name->AsString() == "barrier_join" ||
+                        name->AsString() == "worker_park") {
+                        sync_seconds += seconds->AsNumber();
+                    }
+                    if (participant->AsNumber() == 0.0) {
                         row.wall_seconds += seconds->AsNumber();
                     }
                 }
             }
+            row.sync = phase_seconds > 0.0 ? sync_seconds / phase_seconds
+                                           : 0.0;
             rows.push_back(std::move(row));
         }
     }
@@ -644,14 +573,18 @@ PrintEngineTable(const std::vector<EngineRow>& rows,
                      "(run bench_scale with --engine)\n");
         return;
     }
-    std::fprintf(stderr, "engine %-42s %4s %10s %10s %8s %9s\n",
-                 "config/scheduler", "N", "tail", "util", "windows",
+    std::fprintf(stderr, "engine %-42s %4s %10s %10s %10s %8s %9s\n",
+                 "config/scheduler", "N", "tail", "sync", "util", "windows",
                  "wall");
     for (const EngineRow& row : rows) {
+        const std::string util = UtilizationCell(row);
+        // Pad by display columns: the em dash is three UTF-8 bytes wide.
+        const int width = util == kNoWorkers ? 12 : 10;
         std::fprintf(stderr,
-                     "engine %-42s %4.0f %9.1f%% %9.1f%% %8.0f %8.3fs\n",
+                     "engine %-42s %4.0f %9.1f%% %9.1f%% %*s %8.0f "
+                     "%8.3fs\n",
                      row.label.c_str(), row.participants, row.tail * 100.0,
-                     row.utilization * 100.0, row.windows,
+                     row.sync * 100.0, width, util.c_str(), row.windows,
                      row.wall_seconds);
     }
     for (const AmdahlFit& fit : fits) {
@@ -684,16 +617,16 @@ AppendEngineSummary(const std::string& path,
         return false;
     }
     out << "## Engine flight recorder — phase timings\n\n";
-    out << "| config / scheduler | workers | serial tail | worker util | "
-           "windows | coordinator wall |\n";
-    out << "|---|---|---|---|---|---|\n";
+    out << "| config / scheduler | workers | serial tail | sync | "
+           "worker util | windows | coordinator wall |\n";
+    out << "|---|---|---|---|---|---|---|\n";
     char line[256];
     for (const EngineRow& row : rows) {
         std::snprintf(line, sizeof(line),
-                      "| %s | %.0f | %.1f%% | %.1f%% | %.0f | %.3fs |\n",
+                      "| %s | %.0f | %.1f%% | %.1f%% | %s | %.0f | %.3fs |\n",
                       row.label.c_str(), row.participants, row.tail * 100.0,
-                      row.utilization * 100.0, row.windows,
-                      row.wall_seconds);
+                      row.sync * 100.0, UtilizationCell(row).c_str(),
+                      row.windows, row.wall_seconds);
         out << line;
     }
     out << "\n";
@@ -832,7 +765,7 @@ DiffValues(const std::string& path, const Value& golden, const Value& fresh,
  */
 bool
 CheckAgainstGolden(const std::string& name, const Value& result,
-                   const Value& golden, double wall_tolerance)
+                   const Value& golden)
 {
     bool ok = true;
     const Value* run = result.Find("run");
@@ -865,16 +798,18 @@ CheckAgainstGolden(const std::string& name, const Value& result,
     }
     const double wall = WallSeconds(result);
     const double golden_wall = WallSeconds(golden);
-    // Quarter-second absolute grace: sub-second binaries (table printers)
-    // are all scheduler-independent setup noise, and 20% of ~10ms is
-    // nothing but jitter.
+    // +20% relative, plus a quarter-second absolute grace: sub-second
+    // binaries (table printers) are all scheduler-independent setup noise,
+    // and 20% of ~10ms is nothing but jitter.
+    constexpr double kWallTolerance = 0.20;
+    constexpr double kWallGraceSeconds = 0.25;
     if (golden_wall > 0.0 &&
-        wall > golden_wall * (1.0 + wall_tolerance) + 0.25) {
+        wall > golden_wall * (1.0 + kWallTolerance) + kWallGraceSeconds) {
         std::fprintf(stderr,
                      "FAIL %s: wall clock %.2fs exceeds golden %.2fs by "
                      "more than %.0f%%\n",
                      name.c_str(), wall, golden_wall,
-                     wall_tolerance * 100.0);
+                     kWallTolerance * 100.0);
         ok = false;
     }
     if (ok) {
@@ -1063,10 +998,8 @@ main(int argc, char** argv)
     std::string dir = "bench/out";
     std::string out_path = "BENCH_results.json";
     std::string golden_dir;
-    std::string prev_path;
     std::string trace_path;
     std::string summary_path;
-    double wall_tolerance = 0.20;
     bool engine = false;
 
     for (int i = 1; i < argc; ++i) {
@@ -1077,22 +1010,17 @@ main(int argc, char** argv)
             out_path = argv[++i];
         } else if (arg == "--check" && i + 1 < argc) {
             golden_dir = argv[++i];
-        } else if (arg == "--prev" && i + 1 < argc) {
-            prev_path = argv[++i];
         } else if (arg == "--trace" && i + 1 < argc) {
             trace_path = argv[++i];
         } else if (arg == "--summary" && i + 1 < argc) {
             summary_path = argv[++i];
-        } else if (arg == "--wall-tolerance" && i + 1 < argc) {
-            wall_tolerance = std::strtod(argv[++i], nullptr);
         } else if (arg == "--engine") {
             engine = true;
         } else if (arg == "--help" || arg == "-h") {
             std::fprintf(stderr,
                          "usage: %s [--dir DIR] [--out PATH] "
-                         "[--check GOLDEN_DIR] [--prev REPORT] "
-                         "[--summary PATH] [--trace FILE] [--engine] "
-                         "[--wall-tolerance F]\n",
+                         "[--check GOLDEN_DIR] [--summary PATH] "
+                         "[--trace FILE] [--engine]\n",
                          argv[0]);
             return 0;
         } else {
@@ -1160,17 +1088,7 @@ main(int argc, char** argv)
         PrintEngineTable(engine_rows, engine_fits);
     }
 
-    std::vector<SpeedupLine> speedups;
-    if (!prev_path.empty()) {
-        Value prev;
-        if (!LoadJson(prev_path, prev)) {
-            return 2;
-        }
-        speedups = PrintSpeedups(report, prev);
-    }
-
-    if (!summary_path.empty() &&
-        !WriteSummary(summary_path, pareto, speedups)) {
+    if (!summary_path.empty() && !WriteSummary(summary_path, pareto)) {
         return 2;
     }
     if (engine && !summary_path.empty() &&
@@ -1207,7 +1125,7 @@ main(int argc, char** argv)
         if (!LoadJson(result_path, result)) {
             return 2;
         }
-        all_ok &= CheckAgainstGolden(name, result, golden, wall_tolerance);
+        all_ok &= CheckAgainstGolden(name, result, golden);
     }
     std::fprintf(stderr, "bench_report: golden check %s\n",
                  all_ok ? "passed" : "FAILED");

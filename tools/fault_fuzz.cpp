@@ -10,6 +10,9 @@
  * Usage: fault_fuzz [--scenarios N] [--seed S] [--scheduler NAME|all]
  *                   [--channel-jobs N] [--verbose]
  *
+ * Numbers parse through the bench harness's checked parser (decimal, or
+ * hex after 0x): a malformed value exits 2 naming the flag.
+ *
  * --scheduler / --channel-jobs replay the same scenario stream under a
  * different scheduler or worker count; the defenses must not change
  * (tests/sim/fault_injection_test.cc asserts exact equality).  Scheduler
@@ -17,12 +20,13 @@
  * registered policy is accepted — and swept by `--scheduler all` — with
  * no fuzzer change.
  */
+#include <climits>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
+#include "bench_common.hh"
 #include "sched/factory.hh"
 #include "sim/fault_injector.hh"
 
@@ -90,9 +94,11 @@ main(int argc, char** argv)
     FaultOptions options;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--scenarios") == 0 && i + 1 < argc) {
-            scenarios = std::strtoull(argv[++i], nullptr, 0);
+            scenarios = bench::ParseUnsignedFlag(argv[i], argv[i + 1]);
+            i += 1;
         } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-            seed = std::strtoull(argv[++i], nullptr, 0);
+            seed = bench::ParseUnsignedFlag(argv[i], argv[i + 1]);
+            i += 1;
         } else if (std::strcmp(argv[i], "--scheduler") == 0 && i + 1 < argc) {
             i += 1;
             if (std::strcmp(argv[i], "all") == 0) {
@@ -109,7 +115,8 @@ main(int argc, char** argv)
         } else if (std::strcmp(argv[i], "--channel-jobs") == 0 &&
                    i + 1 < argc) {
             options.channel_jobs = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 0));
+                bench::ParseUnsignedFlag(argv[i], argv[i + 1], UINT_MAX));
+            i += 1;
         } else if (std::strcmp(argv[i], "--verbose") == 0) {
             verbose = true;
         } else {
